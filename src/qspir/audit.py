@@ -6,18 +6,28 @@ relevant randomness at micro parameters: build the joint distribution of
 (secret, adversary view) over every assignment of the enumerated variables,
 then test factorisation with integer arithmetic (see mi.py).
 
+The view is never re-derived here. Storage rows, query rows, masking
+shares and honest answers come from the per-round formulas in protocol.py,
+evaluated on numpy arrays of grid digits instead of ints; Byzantine
+deviations come from the strategy registry in threats.py, run on a
+coalition view made of those arrays. Any registered strategy can therefore
+be audited, provided it uses only +, -, * and % q on its view and draws at
+most one uniform digit per server and instance from its stream.
+
 Audits shrink the state space only by exact reductions: per-symbol scope
 where the encoding uses fresh randomness per symbol, dropping variables that
 provably never enter the view (checked by a linearity probe, not assumed),
 and replacing query-noise vectors by their evaluations at the handful of
 relevant points when that substitution is a bijection onto uniform tuples
 (checked by a rank computation).  Beyond the enumeration budget,
-audit_masking_vs_user switches to a one-time-pad rank certificate; a
-sampled statistical mode exists but is never used for exact claims.
+audit_masking_vs_user switches to a one-time-pad rank certificate.
 
 Every audit takes an optional ``mutation`` that removes exactly the
 ingredient the corresponding lemma credits; a healthy configuration must
-then fail, which is how the audits themselves are validated.
+then fail, which is how the audits themselves are validated. A mutant is an
+edit of the formula inputs only: the removed noise or masking term is set
+to zero (or left off the grid) where the audit assembles the inputs, and
+the shared formulas themselves never see the mutation.
 """
 
 from __future__ import annotations
@@ -28,17 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import canonical_points
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    Infeasible,
-    SetTooLarge,
-)
+from .errors import DimensionMismatch, Infeasible, SetTooLarge
 from .field import FqMatrix, fe_inv
 from .mi import AuditBudget, JointDistribution, mi_exact, rank_certificate
 from .plan import Model, RegimePlan, SchemeConfig, plan_regime
-from .protocol import BuiltScheme, build_scheme, scheme_points
-from .threats import BUILTIN_STRATEGIES
+from .protocol import (BuiltScheme, build_scheme, honest_answer, mask_share,
+                       powers, query_row, scheme_points, storage_row)
+from .threats import BUILTIN_STRATEGIES, ByzContext, apply_strategy
 
 MUTATIONS = (
     "storage-drop-top-noise",
@@ -47,9 +53,6 @@ MUTATIONS = (
     "mask-expose-extra",
     "mask-no-zprime",
 )
-
-MC_SAMPLES = 200_000
-MC_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,48 +87,32 @@ class AuditReport:
 
 
 class StateGrid:
-    """Exhaustive (or sampled) enumeration of named q-ary digits.
+    """Exhaustive enumeration of named q-ary digits.
 
     Each name is one uniform digit in [0, q); the state space is the full
-    product, walked in chunks.  In sampled mode each digit is drawn
-    independently per state instead of enumerated, so the state count may
-    exceed machine-integer range."""
+    product, walked in chunks."""
 
     def __init__(self, q: int, names, budget: AuditBudget | None = None,
-                 chunk_size: int = 1 << 20, sampled: bool = False,
-                 sample_seed: int = 2024):
+                 chunk_size: int = 1 << 20):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise DimensionMismatch("duplicate digit names on the grid")
         self.q = q
         self.names = names
         self.states = q ** len(names)
-        self.sampled = sampled
-        self._table = None
-        if sampled:
-            self.draws = min(MC_SAMPLES, self.states)
-            rng = np.random.default_rng(sample_seed)
-            self._table = rng.integers(0, q, size=(self.draws, len(names)),
-                                       dtype=np.int64)
-            self._cols = {name: p for p, name in enumerate(names)}
-        else:
-            (budget or AuditBudget()).admit(self.states)
-            self.draws = self.states
-            self._weights = {name: q ** p for p, name in enumerate(names)}
+        (budget or AuditBudget()).admit(self.states)
+        self._weights = {name: q ** p for p, name in enumerate(names)}
         self.chunk_size = chunk_size
-        self.sample_seed = sample_seed
 
     def __contains__(self, name) -> bool:
-        return name in (self._cols if self.sampled else self._weights)
+        return name in self._weights
 
     def chunks(self):
-        for start in range(0, self.draws, self.chunk_size):
-            stop = min(start + self.chunk_size, self.draws)
+        for start in range(0, self.states, self.chunk_size):
+            stop = min(start + self.chunk_size, self.states)
             yield np.arange(start, stop, dtype=np.int64)
 
     def digit(self, idx: np.ndarray, name) -> np.ndarray:
-        if self.sampled:
-            return self._table[idx, self._cols[name]]
         return (idx // self._weights[name]) % self.q
 
 
@@ -146,21 +133,18 @@ def _pack(values, q: int, count: int) -> np.ndarray:
     return code
 
 
+def _noise_vectors(digit, depth: int, K: int, drop_top: bool) -> list:
+    """Noise K-vectors j = 1..depth of one storage or query row, entry k of
+    vector j read as digit(j, k); ``drop_top`` zeroes vector depth, which
+    is how the storage and query mutants remove their ingredient. Entries
+    are read lazily and once, so a batch holds only the row being built."""
+    return [[0] * K if drop_top and j == depth else map(digit, [j] * K, range(K))
+            for j in range(1, depth + 1)]
+
+
 def _mi_pair(secret: np.ndarray, view: np.ndarray, q: int):
     jd = JointDistribution.from_columns(("secret", "view"), (secret, view))
     return mi_exact(jd, (("secret",), ("view",)), base=q)
-
-
-def _mc_excess(secret: np.ndarray, view: np.ndarray, q: int) -> float:
-    """Sampled-mode leak estimate: plug-in MI minus a permutation-null
-    baseline.  The plug-in estimate is biased upward by roughly (cells/2n)
-    even for independent pairs; shuffling the secret column keeps both
-    marginals and the sample size, so the baseline carries the same bias
-    and the difference is what the dependence contributes."""
-    res = _mi_pair(secret, view, q)
-    rng = np.random.default_rng(4242)
-    null = _mi_pair(rng.permutation(secret), view, q)
-    return res.bits - null.bits
 
 
 # ======================================================================
@@ -168,8 +152,35 @@ def _mc_excess(secret: np.ndarray, view: np.ndarray, q: int) -> float:
 # ======================================================================
 
 
+class _GridStream:
+    """Byzantine randomness under audit: hands the strategy the given
+    digits (grid arrays, or zeros) in the order it draws them."""
+
+    def __init__(self, q: int, digits):
+        self.q = q
+        self._digits = list(digits)
+        self.drawn = 0
+
+    def randint(self, q: int):
+        if q != self.q:
+            raise DimensionMismatch(
+                "strategy draws from [0, %d); the audit enumerates F_%d"
+                % (q, self.q))
+        if self.drawn == len(self._digits):
+            raise DimensionMismatch(
+                "strategy draws more than one digit per Byzantine server "
+                "and instance")
+        self.drawn += 1
+        return self._digits[self.drawn - 1]
+
+
 class RoundFormulas:
-    """Vectorised mirror of the per-round generation formulas.
+    """One protocol round evaluated on a batch of grid states.
+
+    Storage rows, query rows, masking shares and honest answers are
+    protocol.py's own formulas applied to arrays of grid digits, and
+    Byzantine deviations are threats.apply_strategy run on the coalition's
+    view of those arrays; this class only assembles the inputs.
 
     Digit names on the grid:
       ("w", k, d)         message dits
@@ -178,12 +189,13 @@ class RoundFormulas:
       ("qz", s, l, j, k)  query noise, j = 1..t_s
       ("zp", i, j)        masking coefficients, j = 1..m_i
       ("rp", i, j)        extra masking coefficients, j = 1..B
-      ("dev", i, n)       additive-random deviation dits
+      ("dev", i, n)       Byzantine strategy digits, in draw order
 
     Names absent from the grid evaluate to zero; the caller either proves
-    that exact (dropped-coordinate probe) or never references them.  The
-    scalar formulas are the same ones protocol.py applies per round, which
-    the test suite cross-checks by decoding assembled grid states.
+    that exact (dropped-coordinate probe) or never references them. The
+    storage and query mutants zero the top noise vector of every row's
+    inputs. The test suite decodes assembled grid states with the protocol
+    decoder to pin this assembly to the round it describes.
     """
 
     def __init__(self, scheme: BuiltScheme, theta: int,
@@ -194,7 +206,7 @@ class RoundFormulas:
         self.plan = scheme.plan
         self.q = scheme.cfg.q
         self.theta = theta
-        self.byz = frozenset(byzantine)
+        self.byz = tuple(sorted(byzantine))
         self.strategy = strategy
         self.mutation = mutation
         self._grid = None
@@ -221,93 +233,84 @@ class RoundFormulas:
             self._cache[key] = fn()
         return self._cache[key]
 
-    # ---- generation formulas -----------------------------------------
+    # ---- formula inputs -----------------------------------------------
 
-    def payload(self, i: int, l: int, k: int):
-        plan = self.plan
-        if i == 0:
-            if l < plan.dummies:
-                return self._d(("dum", l, k))
-            return self._d(("w", k, self._slices[0][l - plan.dummies]))
-        return self._d(("w", k, self._slices[1][l]))
+    def payload(self, i: int, l: int) -> list:
+        K, dummies = self.cfg.K, self.plan.dummies
+        if i == 0 and l < dummies:
+            return [self._d(("dum", l, k)) for k in range(K)]
+        d = self._slices[i][l - dummies if i == 0 else l]
+        return [self._d(("w", k, d)) for k in range(K)]
 
-    def storage_entry(self, i: int, n: int, l: int, k: int):
-        def build():
-            q, pts = self.q, self.scheme.pts
-            fa = (pts.fs[l] - pts.alphas[n]) % q
-            acc = self.payload(i, l, k)
-            p = 1
-            for j in range(1, self.cfg.H + 1):
-                p = p * fa % q
-                if self.mutation == "storage-drop-top-noise" and j == self.cfg.H:
-                    continue
-                acc = (acc + p * self._d(("sr", i, l, j, k))) % q
-            return acc
-        return self._memo(("s", i, n, l, k), build)
+    def _noise(self, kind: str, i: int, l: int, depth: int, mutant: str):
+        return _noise_vectors(lambda j, k: self._d((kind, i, l, j, k)),
+                              depth, self.cfg.K, self.mutation == mutant)
 
-    def query_entry(self, i: int, n: int, l: int, k: int):
-        def build():
-            q, pts = self.q, self.scheme.pts
-            s = 0 if self.plan.shared_queries else i
-            t = self.plan.t[s]
-            fa = (pts.fs[l] - pts.alphas[n]) % q
-            acc = 1 if k == self.theta else 0
-            p = 1
-            for j in range(1, t + 1):
-                p = p * fa % q
-                if self.mutation == "query-zero-last-noise" and j == t:
-                    continue
-                acc = (acc + p * self._d(("qz", s, l, j, k))) % q
-            return acc * fe_inv(fa, q) % q
-        return self._memo(("q", i, n, l, k), build)
+    def _x(self, n: int, l: int) -> int:
+        pts = self.scheme.pts
+        return (pts.fs[l] - pts.alphas[n]) % self.q
+
+    # ---- the round ----------------------------------------------------
+
+    def storage_rows(self, i: int, n: int) -> tuple:
+        """Server n's stored K-vectors of instance i, one per column."""
+        return self._memo(("s", i, n), lambda: tuple(
+            storage_row(self.payload(i, l),
+                        self._noise("sr", i, l, self.cfg.H,
+                                    "storage-drop-top-noise"),
+                        self._x(n, l), self.q)
+            for l in range(self.plan.c[i])))
+
+    def query_rows(self, i: int, n: int) -> tuple:
+        """Query K-vectors server n receives for instance i."""
+        s = 0 if self.plan.shared_queries else i
+        t = self.plan.t[s]
+        return self._memo(("q", s, n), lambda: tuple(
+            query_row(self.theta, self.cfg.K,
+                      self._noise("qz", s, l, t, "query-zero-last-noise"),
+                      self._x(n, l), self.q)
+            for l in range(self.plan.c[s])))
 
     def zhat(self, i: int, n: int):
-        def build():
-            q = self.q
-            a = self.scheme.pts.alphas[n]
-            m = self.plan.m[i]
-            acc = 0
-            if self.mutation != "mask-no-zprime":
-                for j in range(1, m + 1):
-                    acc = (acc + pow(a, j - 1, q) * self._d(("zp", i, j))) % q
-            if self.mutation != "mask-no-rprime":
-                for j in range(1, self.plan.B + 1):
-                    acc = (acc + pow(a, m + j - 1, q) * self._d(("rp", i, j))) % q
-            return acc
-        return self._memo(("z", i, n), build)
+        plan = self.plan
+        return self._memo(("z", i, n), lambda: mask_share(
+            self.scheme.pts.alphas[n],
+            [self._d(("zp", i, j)) for j in range(1, plan.m[i] + 1)],
+            [self._d(("rp", i, j)) for j in range(1, plan.B + 1)],
+            self.q))
 
     def honest(self, i: int, n: int):
-        def build():
-            q = self.q
-            acc = self.zhat(i, n)
-            for l in range(self.plan.c[i]):
-                for k in range(self.cfg.K):
-                    acc = (acc + self.storage_entry(i, n, l, k)
-                           * self.query_entry(i, n, l, k)) % q
-            return acc
-        return self._memo(("h", i, n), build)
+        return self._memo(("h", i, n), lambda: honest_answer(
+            self.zhat(i, n), self.storage_rows(i, n), self.query_rows(i, n),
+            self.q))
 
-    def deviation(self, i: int, n: int):
-        if n not in self.byz or self.strategy == "honest-zero":
-            return 0
-        q = self.q
-        if self.strategy == "additive-random":
-            return self._d(("dev", i, n))
-        if self.strategy == "query-relay":
-            k = min(i, self.cfg.K - 1)
-            return (self.query_entry(i, n, 0, k) - self.honest(i, n)) % q
-        if self.strategy == "storage-leak":
-            return (self.storage_entry(i, n, 0, 0) - self.honest(i, n)) % q
-        if self.strategy == "coordinated-custom":
-            return (-self.zhat(i, n)) % q
-        raise SetTooLarge(f"unknown strategy tag {self.strategy!r}")
+    def _byz_context(self) -> ByzContext:
+        """The coalition's view of this batch, with the enumerated strategy
+        digits as its randomness."""
+        inst = range(len(_instances(self.plan)))
+        byz = self.byz
+        return ByzContext(
+            q=self.q, servers=byz, instances=len(inst),
+            storage={n: tuple(self.storage_rows(i, n) for i in inst)
+                     for n in byz},
+            queries={n: tuple(self.query_rows(i, n) for i in inst)
+                     for n in byz},
+            zhat={n: tuple(self.zhat(i, n) for i in inst) for n in byz},
+            honest={n: tuple(self.honest(i, n) for i in inst) for n in byz},
+            stream=_GridStream(self.q, [self._d(name) for name in
+                                        _deviation_names(self.plan, byz)]),
+        )
 
     def transmitted(self, i: int, n: int):
         """Pre-scaling channel dit of a responsive server."""
-        return self._memo(
-            ("t", i, n),
-            lambda: (self.honest(i, n) + self.deviation(i, n)) % self.q,
-        )
+        def build():
+            dev = 0
+            if n in self.byz:
+                devs = self._memo(("dev",), lambda: apply_strategy(
+                    self.strategy, self._byz_context()))
+                dev = devs[n][i]
+            return (self.honest(i, n) + dev) % self.q
+        return self._memo(("t", i, n), build)
 
     # ---- receiver-side values ----------------------------------------
 
@@ -390,11 +393,26 @@ def round_digit_names(cfg: SchemeConfig, plan: RegimePlan, scheme: BuiltScheme,
             if mutation == "mask-no-rprime":
                 continue
             names.append(("rp", i, j))
-    if strategy == "additive-random":
-        for n in byzantine:
-            for i in _instances(plan):
-                names.append(("dev", i, n))
+    if byzantine:
+        draws = _strategy_draws(scheme, byzantine, strategy)
+        names += _deviation_names(plan, byzantine)[:draws]
     return names, dropped
+
+
+def _deviation_names(plan: RegimePlan, byzantine) -> list:
+    """Strategy digits in draw order: at most one per Byzantine server and
+    instance, servers ascending."""
+    return [("dev", i, n) for n in sorted(byzantine) for i in _instances(plan)]
+
+
+def _strategy_draws(scheme: BuiltScheme, byzantine, strategy: str) -> int:
+    """How many digits ``strategy`` draws from its stream in one round,
+    found by running it once on the all-zero state."""
+    fm = RoundFormulas(scheme, 0, byzantine=byzantine, strategy=strategy)
+    ctx = fm.bind(StateGrid(scheme.cfg.q, ()),
+                  np.zeros(1, dtype=np.int64))._byz_context()
+    apply_strategy(strategy, ctx)
+    return ctx.stream.drawn
 
 
 def _probe_dropped(scheme: BuiltScheme, theta: int, dropped, byzantine,
@@ -447,22 +465,13 @@ def audit_storage_security(cfg: SchemeConfig, mutation: str | None = None,
     secret_parts = []
     entries = {}
     for idx in grid.chunks():
-        secret_parts.append(
-            _pack([grid.digit(idx, ("w", k)) for k in range(K)], q, len(idx))
-        )
+        payload = [grid.digit(idx, ("w", k)) for k in range(K)]
+        secret_parts.append(_pack(payload, q, len(idx)))
         for n in range(N):
-            fa = (pts.fs[0] - pts.alphas[n]) % q
-            vals = []
-            for k in range(K):
-                acc = grid.digit(idx, ("w", k))
-                p = 1
-                for j in range(1, H + 1):
-                    p = p * fa % q
-                    if mutation == "storage-drop-top-noise" and j == H:
-                        continue
-                    acc = (acc + p * grid.digit(idx, ("sr", j, k))) % q
-                vals.append(acc)
-            entries.setdefault(n, []).append(vals)
+            noise = _noise_vectors(lambda j, k: grid.digit(idx, ("sr", j, k)),
+                                   H, K, mutation == "storage-drop-top-noise")
+            x = (pts.fs[0] - pts.alphas[n]) % q
+            entries.setdefault(n, []).append(storage_row(payload, noise, x, q))
     secret = np.concatenate(secret_parts)
     server_vals = {
         n: [np.concatenate([chunk[k] for chunk in entries[n]])
@@ -523,18 +532,11 @@ def audit_query_privacy(cfg: SchemeConfig, mutation: str | None = None,
                 vals = []
                 for s in range(sets):
                     for l in range(plan.c[s]):
-                        fa = (pts.fs[l] - pts.alphas[n]) % q
-                        inv = fe_inv(fa, q)
-                        for k in range(K):
-                            acc = 1 if k == theta else 0
-                            p = 1
-                            for j in range(1, plan.t[s] + 1):
-                                p = p * fa % q
-                                if (mutation == "query-zero-last-noise"
-                                        and j == plan.t[s]):
-                                    continue
-                                acc = (acc + p * grid.digit(idx, ("qz", s, l, j, k))) % q
-                            vals.append(acc * inv % q)
+                        noise = _noise_vectors(
+                            lambda j, k: grid.digit(idx, ("qz", s, l, j, k)),
+                            plan.t[s], K, mutation == "query-zero-last-noise")
+                        x = (pts.fs[l] - pts.alphas[n]) % q
+                        vals.extend(query_row(theta, K, noise, x, q))
                 per_server[n].append(vals)
     total = K * grid.states
     secret = np.concatenate(theta_col)
@@ -585,21 +587,6 @@ def _mask_alphas(cfg: SchemeConfig, plan):
     return canonical_points(cfg.N, 0, 0, cfg.q).alphas
 
 
-def _zhat_arrays(grid: StateGrid, idx, alphas, i: int, m: int, B: int, q: int,
-                 mutation: str | None):
-    out = []
-    for n in range(len(alphas)):
-        a = alphas[n]
-        acc = np.zeros(len(idx), dtype=np.int64)
-        for j in range(1, m + 1):
-            acc = (acc + pow(a, j - 1, q) * grid.digit(idx, ("zp", i, j))) % q
-        if mutation != "mask-no-rprime":
-            for j in range(1, B + 1):
-                acc = (acc + pow(a, m + j - 1, q) * grid.digit(idx, ("rp", i, j))) % q
-        out.append(acc)
-    return out
-
-
 def audit_masking_vs_byzantine(cfg: SchemeConfig, mutation: str | None = None,
                                budget: AuditBudget | None = None) -> AuditReport:
     """A Byzantine coalition's masking shares reveal nothing about Z'.
@@ -629,9 +616,12 @@ def audit_masking_vs_byzantine(cfg: SchemeConfig, mutation: str | None = None,
         grid = StateGrid(q, names, budget)
         total += grid.states
         idx = np.arange(grid.states, dtype=np.int64)
-        zhat = _zhat_arrays(grid, idx, alphas, 0, m, B, q, mutation)
-        secret = _pack([grid.digit(idx, ("zp", 0, j)) for j in range(1, m + 1)],
-                       q, grid.states)
+        zp = [grid.digit(idx, ("zp", 0, j)) for j in range(1, m + 1)]
+        rp = [grid.digit(idx, ("rp", 0, j)) for j in range(1, B + 1)]
+        if mutation == "mask-no-rprime":
+            rp = [0] * B
+        zhat = [mask_share(a, zp, rp, q) for a in alphas]
+        secret = _pack(zp, q, grid.states)
         share = grid.states // (q ** B)
         for coalition in itertools.combinations(range(N), B):
             view = _pack([zhat[n] for n in coalition], q, grid.states)
@@ -705,7 +695,12 @@ def audit_masking_vs_user(cfg: SchemeConfig, mutation: str | None = None,
         names += [("rp", i, j) for i in (0, 1) for j in range(1, B + 1)]
         grid = StateGrid(q, names, budget)
         idx = np.arange(grid.states, dtype=np.int64)
-        zhat = [_zhat_arrays(grid, idx, alphas, i, m_pair[i], B, q, None)
+        zhat = [[mask_share(a,
+                            [grid.digit(idx, ("zp", i, j))
+                             for j in range(1, m_pair[i] + 1)],
+                            [grid.digit(idx, ("rp", i, j))
+                             for j in range(1, B + 1)], q)
+                 for a in alphas]
                 for i in (0, 1)]
         secret_vals = [grid.digit(idx, ("zp", i, j))
                        for i in (0, 1) for j in surv_l[i]]
@@ -746,12 +741,11 @@ def audit_masking_vs_user(cfg: SchemeConfig, mutation: str | None = None,
                 rows.append(row)
         for i in (0, 1):
             for n in coalition:
-                a = alphas[n]
+                # mask_share dots these powers with [Z'_i | R'_i]
+                pw = powers(alphas[n], m_pair[i] + B, q)
                 row = [0] * width
-                for j in range(1, m_pair[i] + 1):
-                    row[offs[("zp", i)] + (j - 1)] = pow(a, j - 1, q)
-                for j in range(1, B + 1):
-                    row[offs[("rp", i)] + (j - 1)] = pow(a, m_pair[i] + j - 1, q)
+                row[offs[("zp", i)]:offs[("zp", i)] + m_pair[i]] = pw[:m_pair[i]]
+                row[offs[("rp", i)]:offs[("rp", i)] + B] = pw[m_pair[i]:]
                 rows.append(row)
         if not rows:
             continue
@@ -792,7 +786,6 @@ def audit_symmetric_privacy(cfg: SchemeConfig, strategy: str = "all",
                   else (strategy,))
     total = 0
     failures = []
-    sampled = False
     for tag in strategies:
         names, dropped = round_digit_names(cfg, plan, scheme, strategy=tag,
                                            byzantine=byz, mutation=mutation)
@@ -800,13 +793,7 @@ def audit_symmetric_privacy(cfg: SchemeConfig, strategy: str = "all",
         for theta in range(K):
             if dropped:
                 _probe_dropped(scheme, theta, dropped, byz, tag, mutation)
-            try:
-                grid = StateGrid(q, names, budget)
-            except BudgetExceeded:
-                if budget.fallback != "monte-carlo":
-                    raise
-                grid = StateGrid(q, names, sampled=True)
-                sampled = True
+            grid = StateGrid(q, names, budget)
             fm = RoundFormulas(scheme, theta, byzantine=byz, strategy=tag,
                                mutation=mutation)
             sec_parts, view_parts = [], []
@@ -824,22 +811,15 @@ def audit_symmetric_privacy(cfg: SchemeConfig, strategy: str = "all",
             secret = np.concatenate(sec_parts)
             view = np.concatenate(view_parts)
             total += len(secret)
-            if sampled:
-                excess = _mc_excess(secret, view, q)
-                if excess > MC_TOLERANCE:
-                    failures.append((tag, theta, round(excess, 4)))
-            else:
-                res = _mi_pair(secret, view, q)
-                if not res.zero:
-                    failures.append((tag, theta, round(res.bits, 4)))
+            res = _mi_pair(secret, view, q)
+            if not res.zero:
+                failures.append((tag, theta, round(res.bits, 4)))
     passed = not failures
-    mode = "monte-carlo" if sampled else "enumeration"
-    extra = " (statistical check, not exact)" if sampled else ""
     details = ("unrequested messages independent of the receiver view for "
-               "strategies %s over %d states%s"
-               % (",".join(strategies), total, extra) if passed
+               "strategies %s over %d states"
+               % (",".join(strategies), total) if passed
                else "leak at (strategy, theta, bits): %s" % failures)
-    return AuditReport(name, passed, mode, total, details)
+    return AuditReport(name, passed, "enumeration", total, details)
 
 
 # ======================================================================
@@ -865,10 +845,9 @@ def _relay_shortcut_names(cfg, plan, pts, up, down):
             aggregated = False
             break
         for l in range(plan.c[s]):
-            rows = []
-            for n in points:
-                fa = (pts.fs[l] - pts.alphas[n]) % q
-                rows.append([pow(fa, j, q) for j in range(1, plan.t[s] + 1)])
+            # coefficients of z_1..z_t in storage_row at each tapped point
+            rows = [powers((pts.fs[l] - pts.alphas[n]) % q, plan.t[s] + 1, q)[1:]
+                    for n in points]
             if rows and FqMatrix.from_rows(rows, q).rank() < len(points):
                 aggregated = False
     if aggregated:
@@ -886,17 +865,23 @@ def _relay_shortcut_names(cfg, plan, pts, up, down):
     return names, sets, aggregated
 
 
-def _query_value(grid, idx, pts, q, theta, s, l, n, k, t, aggregated):
-    fa = (pts.fs[l] - pts.alphas[n]) % q
-    if aggregated:
-        acc = (1 if k == theta else 0) + grid.digit(idx, ("agg", s, l, n, k))
-    else:
-        acc = 1 if k == theta else 0
-        p = 1
-        for j in range(1, t + 1):
-            p = p * fa % q
-            acc = (acc + p * grid.digit(idx, ("qz", s, l, j, k))) % q
-    return acc * fe_inv(fa, q) % q
+def _relay_query_rows(grid, idx, pts, q, K, theta, s, n, plan, aggregated):
+    """Query K-vectors server n receives for query set s, from either the
+    raw noise digits or their enumerated evaluations at n."""
+    rows = []
+    for l in range(plan.c[s]):
+        x = (pts.fs[l] - pts.alphas[n]) % q
+        if aggregated:
+            inv = fe_inv(x, q)
+            rows.append(tuple(
+                (int(k == theta) + grid.digit(idx, ("agg", s, l, n, k))) * inv % q
+                for k in range(K)))
+        else:
+            noise = _noise_vectors(
+                lambda j, k: grid.digit(idx, ("qz", s, l, j, k)),
+                plan.t[s], K, False)
+            rows.append(query_row(theta, K, noise, x, q))
+    return tuple(rows)
 
 
 def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
@@ -946,23 +931,31 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
             names, sets, aggregated = _relay_shortcut_names(
                 cfg, plan, pts, up, down)
             grid = StateGrid(q, names, budget)
+            insts = _instances(plan)
             sec_parts, view_parts = [], []
             for theta in range(K):
                 for idx in grid.chunks():
-                    view_vals = []
-                    for n in up:
-                        for s in range(sets):
-                            for l in range(plan.c[s]):
-                                for k in range(K):
-                                    view_vals.append(_query_value(
-                                        grid, idx, pts, q, theta, s, l, n, k,
-                                        plan.t[s], aggregated))
+                    rows = {(s, n): _relay_query_rows(grid, idx, pts, q, K,
+                                                      theta, s, n, plan,
+                                                      aggregated)
+                            for s in range(sets) for n in set(up) | set(down)}
+                    view_vals = [v for n in up for s in range(sets)
+                                 for row in rows[s, n] for v in row]
+                    # a relayed dit replaces the whole answer, so it is the
+                    # strategy's deviation from an honest answer of zero;
+                    # storage and masking never enter it
+                    ctx = ByzContext(
+                        q=q, servers=tuple(down), instances=len(insts),
+                        storage={n: ((),) * len(insts) for n in down},
+                        queries={n: tuple(rows[min(i, sets - 1), n]
+                                          for i in insts) for n in down},
+                        zhat={n: (0,) * len(insts) for n in down},
+                        honest={n: (0,) * len(insts) for n in down},
+                        stream=_GridStream(q, ()))
+                    relay = apply_strategy(strategy, ctx)
                     for n in down:
-                        for i in _instances(plan):
-                            s = 0 if (plan.classical or plan.shared_queries) else i
-                            k = min(i, K - 1)
-                            dit = _query_value(grid, idx, pts, q, theta, s, 0,
-                                               n, k, plan.t[s], aggregated)
+                        for i in insts:
+                            dit = relay[n][i]
                             if not plan.classical:
                                 scale = scheme.u if i == 0 else scheme.v
                                 dit = dit * scale[n] % q
@@ -995,12 +988,8 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
                                strategy=strategy, mutation=mutation)
             for idx in grid.chunks():
                 fm.bind(grid, idx)
-                view_vals = []
-                for n in up:
-                    for i in range(sets):
-                        for l in range(plan.c[i]):
-                            for k in range(K):
-                                view_vals.append(fm.query_entry(i, n, l, k))
+                view_vals = [v for n in up for i in range(sets)
+                             for row in fm.query_rows(i, n) for v in row]
                 for n in down:
                     view_vals.extend(fm.downlink_pair(n))
                 sec_vals = [np.full(len(idx), theta, dtype=np.int64)]

@@ -20,13 +20,12 @@ import io
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, QspirError
 from .mi import AuditBudget
 from .plan import Model, SchemeConfig, plan_regime
-from .protocol import expected_dits, run_round
+from .protocol import expected_dits, run_round, scheme_points
 from .rates import CSV_HEADER, sweep, theorem_rate
 from .threats import BUILTIN_STRATEGIES, ThreatConfig
 from .rng import Stream
@@ -53,36 +52,6 @@ _CONFIG_KEYS = {
     "strategy", "eaves-up", "eaves-down", "byzantine", "unresponsive",
     "out", "workers",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged flag/config-file parameters for one invocation."""
-
-    subcommand: str
-    model: str
-    N: int
-    K: int
-    X: int
-    T: int
-    E: int
-    U: int
-    B: int
-    q: int
-    trials: int
-    seed: int
-    strategy: str
-    eaves_up: str
-    eaves_down: str
-    byzantine: str
-    unresponsive: str
-    out: str | None
-    workers: int
-
-    def scheme_config(self) -> SchemeConfig:
-        return SchemeConfig(model=Model.parse(self.model), N=self.N, K=self.K,
-                            X=self.X, T=self.T, E=self.E, U=self.U, B=self.B,
-                            q=self.q)
 
 
 # ----------------------------------------------------------------------
@@ -266,15 +235,18 @@ def _simulate_trial(packed):
     return trial, ok, label
 
 
+def _scheme_config(args) -> SchemeConfig:
+    return SchemeConfig(model=Model.parse(args.model), N=args.N, K=args.K,
+                        X=args.X, T=args.T, E=args.E, U=args.U, B=args.B,
+                        q=args.q)
+
+
 def cmd_simulate(args) -> int:
-    cfg = RunConfig(
-        subcommand="simulate", model=args.model, N=args.N, K=args.K, X=args.X,
-        T=args.T, E=args.E, U=args.U, B=args.B, q=args.q, trials=args.trials,
-        seed=args.seed, strategy=args.strategy, eaves_up=args.eaves_up,
-        eaves_down=args.eaves_down, byzantine=args.byzantine,
-        unresponsive=args.unresponsive, out=args.out, workers=args.workers,
-    ).scheme_config()
+    cfg = _scheme_config(args)
     plan = plan_regime(cfg)
+    # a field too small for the evaluation points is a configuration
+    # error, not a per-trial protocol failure
+    scheme_points(cfg, plan)
     fixed_sets = (_parse_set(args.eaves_up), _parse_set(args.eaves_down),
                   _parse_set(args.byzantine), _parse_set(args.unresponsive))
     jobs = [(cfg, args.seed, t, args.strategy, fixed_sets)
@@ -320,13 +292,7 @@ def cmd_audit(args) -> int:
     if use_default:
         configs = audit_mod.default_suite_configs()
     else:
-        cfg = RunConfig(
-            subcommand="audit", model=args.model, N=args.N, K=args.K,
-            X=args.X, T=args.T, E=args.E, U=args.U, B=args.B, q=args.q,
-            trials=0, seed=0, strategy="honest-zero", eaves_up="random",
-            eaves_down="random", byzantine="random", unresponsive="random",
-            out=args.out, workers=1,
-        ).scheme_config()
+        cfg = _scheme_config(args)
         configs = {lemma: cfg for lemma in audit_mod.default_suite_configs()}
 
     for lemma, cfg in configs.items():

@@ -208,29 +208,6 @@ class FqMatrix:
         return all(a == 0 for a in self.data)
 
 
-# ---------- module-level operation aliases ----------
-
-
-def mat_mul(a: FqMatrix, b: FqMatrix) -> FqMatrix:
-    return a.mul(b)
-
-
-def mat_vec(a: FqMatrix, v) -> tuple[int, ...]:
-    return a.matvec(v)
-
-
-def mat_inv(a: FqMatrix) -> FqMatrix:
-    return a.inv()
-
-
-def mat_rank(a: FqMatrix) -> int:
-    return a.rank()
-
-
-def solve(a: FqMatrix, b) -> tuple[int, ...]:
-    return a.solve(b)
-
-
 def block_diag(blocks: list[FqMatrix], q: int) -> FqMatrix:
     """Square-ish block-diagonal assembly of the given matrices."""
     rows = sum(b.rows for b in blocks)
@@ -247,26 +224,3 @@ def block_diag(blocks: list[FqMatrix], q: int) -> FqMatrix:
         r0 += b.rows
         c0 += b.cols
     return FqMatrix.from_rows(grid, q) if rows else FqMatrix.zeros(0, cols, q)
-
-
-def dot(a, b, q: int) -> int:
-    if len(a) != len(b):
-        raise DimensionMismatch("dot: length mismatch")
-    return sum(int(x) * int(y) for x, y in zip(a, b)) % q
-
-
-def vec_add(a, b, q: int) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise DimensionMismatch("vec_add: length mismatch")
-    return tuple((int(x) + int(y)) % q for x, y in zip(a, b))
-
-
-def vec_sub(a, b, q: int) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise DimensionMismatch("vec_sub: length mismatch")
-    return tuple((int(x) - int(y)) % q for x, y in zip(a, b))
-
-
-def vec_scale(a, s: int, q: int) -> tuple[int, ...]:
-    s %= q
-    return tuple(int(x) * s % q for x in a)

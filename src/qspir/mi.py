@@ -42,19 +42,13 @@ def budget_limit() -> int:
 
 @dataclass(frozen=True)
 class AuditBudget:
-    """Enumeration limit and the fallback used when it is exceeded."""
+    """Enumeration limit of the exact audits."""
 
     max_states: int = field(default_factory=budget_limit)
-    fallback: str = "rank-certificate"
 
     def __post_init__(self):
         if self.max_states < 1:
             raise DimensionMismatch("budget must admit at least one state")
-        if self.fallback not in ("rank-certificate", "monte-carlo"):
-            raise DimensionMismatch(
-                "fallback must be rank-certificate or monte-carlo, got %r"
-                % (self.fallback,)
-            )
 
     def admit(self, states: int) -> None:
         if states > self.max_states:

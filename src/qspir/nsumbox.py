@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .codes import Points, build_qcsa, dual_scaling
 from .errors import DimensionMismatch, NotInvertible, NotSSO, Singular
-from .field import FqMatrix, block_diag
+from .field import FqMatrix
 
 
 def check_sso(G: FqMatrix) -> bool:
@@ -72,10 +72,6 @@ def make_transfer(G: FqMatrix, H: FqMatrix) -> TransferBox:
     return TransferBox(N=N, q=G.q, gprime=gprime, g=G, h=H)
 
 
-def apply_box(box: TransferBox, x) -> tuple[int, ...]:
-    return box.apply(x)
-
-
 def precode(box: TransferBox, V1: FqMatrix, V2: FqMatrix) -> TransferBox:
     """Box with per-side precoders: generator pair (G V1, H V2).
 
@@ -116,8 +112,3 @@ def make_transfer_dual_qcsa(pts: Points, u, L: int) -> TransferBox:
         + [N + L + mu + j for j in range(nu - L)]
     )
     return make_transfer(cols.take_cols(drop_idx), cols.take_cols(keep_idx))
-
-
-def instance_stack(hu: FqMatrix, hv: FqMatrix) -> FqMatrix:
-    """blkdiag(hu, hv) as one 2N x 2N matrix (helper for tests)."""
-    return block_diag([hu, hv], hu.q)

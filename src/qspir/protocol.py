@@ -19,13 +19,12 @@ contamination before reading off the retrieved dits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import corrector as corr_mod
 from .codes import Points, build_csa, build_vandermonde, canonical_points, dual_scaling
-from .errors import DecodeFailure, DimensionMismatch
-from .field import FqMatrix, fe_inv, vec_sub
+from .errors import DimensionMismatch
+from .field import FqMatrix, fe_inv
 from .nsumbox import TransferBox, make_transfer, precode
 from .plan import RegimePlan, SchemeConfig, plan_regime
 from .rng import Stream
@@ -127,6 +126,64 @@ class Transcript:
     scheme: BuiltScheme
     y: tuple | None          # box output (quantum regimes)
     result: DecodedResult
+
+
+# ======================================================================
+# per-round formulas
+# ======================================================================
+#
+# The formulas below are the only statement of what a server stores,
+# receives, masks with and answers. They use nothing but +, * and % q, so
+# they run unchanged on ints (one protocol round) and on int64 numpy arrays
+# holding one value per enumerated state (the audits). Vectors are K-tuples.
+
+
+def powers(x, count: int, q: int) -> list:
+    """[1, x, x^2, ..., x^(count-1)] mod q."""
+    out = []
+    p = 1
+    for _ in range(count):
+        out.append(p)
+        p = p * x % q
+    return out
+
+
+def storage_row(payload, noise, x: int, q: int) -> tuple:
+    """Stored K-vector of one payload column at one server:
+    payload + sum_j x^j noise_j (j = 1..H), where x = f_l - a_n."""
+    row = tuple(payload)
+    p = 1
+    for zj in noise:
+        p = p * x % q
+        row = tuple((b + p * z) % q for b, z in zip(row, zj))
+    return row
+
+
+def query_row(theta: int, K: int, noise, x: int, q: int) -> tuple:
+    """Query K-vector of one payload column at one server:
+    x^-1 (e_theta + sum_j x^j z_j) (j = 1..t), where x = f_l - a_n."""
+    unit = [int(k == theta) for k in range(K)]
+    inv = fe_inv(x, q)
+    return tuple(v * inv % q for v in storage_row(unit, noise, x, q))
+
+
+def mask_share(alpha: int, zprime, rprime, q: int):
+    """Server share of the masking polynomial: the m + B powers of alpha
+    dotted with [Z' | R']."""
+    coeffs = (*zprime, *rprime)
+    acc = 0
+    for p, z in zip(powers(alpha, len(coeffs), q), coeffs):
+        acc = (acc + p * z) % q
+    return acc
+
+
+def honest_answer(zhat, srows, qrows, q: int):
+    """Masking share plus every stored row dotted with its query row."""
+    acc = zhat
+    for srow, qrow in zip(srows, qrows):
+        for s, x in zip(srow, qrow):
+            acc = (acc + s * x) % q
+    return acc
 
 
 # ======================================================================
@@ -268,20 +325,12 @@ def gen_storage(cfg: SchemeConfig, plan: RegimePlan, pts: Points, W,
             for _ in range(plan.c[i])
         )
         noise.append(inoise)
-        irows = []
-        for n in range(cfg.N):
-            srows = []
-            for l in range(plan.c[i]):
-                base = list(cols[i][l])
-                fa = (pts.fs[l] - pts.alphas[n]) % q
-                p = 1
-                for j in range(H):
-                    p = p * fa % q
-                    zj = inoise[l][j]
-                    base = [(b + p * z) % q for b, z in zip(base, zj)]
-                srows.append(tuple(base))
-            irows.append(tuple(srows))
-        rows.append(tuple(irows))
+        rows.append(tuple(
+            tuple(storage_row(cols[i][l], inoise[l],
+                              (pts.fs[l] - pts.alphas[n]) % q, q)
+                  for l in range(plan.c[i]))
+            for n in range(cfg.N)
+        ))
     return Storage(rows=tuple(rows), noise=tuple(noise), dummies=dummies)
 
 
@@ -300,21 +349,12 @@ def gen_queries(cfg: SchemeConfig, plan: RegimePlan, pts: Points, theta: int,
             for _ in range(plan.c[s])
         )
         all_noise.append(snoise)
-        sblocks = []
-        for n in range(cfg.N):
-            nblocks = []
-            for l in range(plan.c[s]):
-                fa = (pts.fs[l] - pts.alphas[n]) % q
-                inv = fe_inv(fa, q)
-                vec = [1 if k == theta else 0 for k in range(cfg.K)]
-                p = 1
-                for j in range(plan.t[s]):
-                    p = p * fa % q
-                    zj = snoise[l][j]
-                    vec = [(x + p * z) % q for x, z in zip(vec, zj)]
-                nblocks.append(tuple(x * inv % q for x in vec))
-            sblocks.append(tuple(nblocks))
-        all_blocks.append(tuple(sblocks))
+        all_blocks.append(tuple(
+            tuple(query_row(theta, cfg.K, snoise[l],
+                            (pts.fs[l] - pts.alphas[n]) % q, q)
+                  for l in range(plan.c[s]))
+            for n in range(cfg.N)
+        ))
     if sets == 1 and not plan.classical:
         all_blocks.append(all_blocks[0])
         all_noise.append(all_noise[0])
@@ -333,19 +373,7 @@ def gen_shared_noise(cfg: SchemeConfig, plan: RegimePlan, pts: Points,
         rp = rng.randvec(plan.B, q)
         zprime.append(zp)
         rprime.append(rp)
-        evals = []
-        for n in range(cfg.N):
-            a = pts.alphas[n]
-            acc = 0
-            p = 1
-            for j in range(plan.m[i]):
-                acc = (acc + p * zp[j]) % q
-                p = p * a % q
-            for j in range(plan.B):
-                acc = (acc + p * rp[j]) % q
-                p = p * a % q
-            evals.append(acc)
-        zhat.append(tuple(evals))
+        zhat.append(tuple(mask_share(a, zp, rp, q) for a in pts.alphas))
     return SharedNoise(zprime=tuple(zprime), rprime=tuple(rprime),
                        zhat=tuple(zhat))
 
@@ -355,18 +383,11 @@ def gen_shared_noise(cfg: SchemeConfig, plan: RegimePlan, pts: Points,
 # ======================================================================
 
 
-def honest_answer(storage: Storage, queries: QuerySet, noise: SharedNoise,
-                  n: int, i: int, q: int) -> int:
-    acc = noise.zhat[i][n]
-    for srow, qrow in zip(storage.rows[i][n], queries.blocks[i][n]):
-        acc = (acc + sum(s * x for s, x in zip(srow, qrow))) % q
-    return acc
-
-
 def compute_answers(cfg, plan, storage, queries, noise) -> tuple:
     instances = (0,) if plan.classical else (0, 1)
     return tuple(
-        tuple(honest_answer(storage, queries, noise, n, i, cfg.q)
+        tuple(honest_answer(noise.zhat[i][n], storage.rows[i][n],
+                            queries.blocks[i][n], cfg.q)
               for n in range(cfg.N))
         for i in instances
     )

@@ -35,16 +35,19 @@ class Stream:
         self._counter += 1
         self._buf += block
 
-    def next_byte(self) -> int:
-        if not self._buf:
+    def _take(self, width: int) -> bytes:
+        while len(self._buf) < width:
             self._refill()
-        b = self._buf[0]
-        self._buf = self._buf[1:]
-        return b
+        out = self._buf[:width]
+        self._buf = self._buf[width:]
+        return out
+
+    def next_byte(self) -> int:
+        return self._take(1)[0]
 
     def randint(self, q: int) -> int:
         """Uniform integer in [0, q); single-byte rejection for small q,
-        4-byte rejection beyond."""
+        multi-byte rejection beyond."""
         if q < 1:
             raise ValueError(f"randint needs q >= 1, got {q}")
         if q == 1:
@@ -72,22 +75,15 @@ class Stream:
         return tuple(sorted(chosen))
 
     def _randbelow(self, n: int) -> int:
-        """Uniform in [0, n) for arbitrary n via 4-byte rejection."""
+        """Uniform in [0, n) by rejection on big-endian words of
+        max(4, ceil(bits(n - 1) / 8)) bytes, so every n gets a nonzero
+        acceptance range."""
         if n <= 0:
             raise ValueError("empty range")
-        span = 1 << 32
+        width = max(4, -(-(n - 1).bit_length() // 8))
+        span = 1 << (8 * width)
         limit = span - (span % n)
         while True:
-            word = (
-                self.next_byte() << 24
-                | self.next_byte() << 16
-                | self.next_byte() << 8
-                | self.next_byte()
-            )
+            word = int.from_bytes(self._take(width), "big")
             if word < limit:
                 return word % n
-
-
-def stream(seed: int | str, label: str) -> Stream:
-    """Convenience constructor for a labeled stream."""
-    return Stream(seed, label)

@@ -7,6 +7,12 @@ storage rows, query blocks, evaluated masking shares, resulting honest
 answers — plus a dedicated randomness stream, to additive per-instance
 answer deviations. Strategies that conceptually *replace* an answer return
 (replacement - honest) so the recorded deviation stays additive.
+
+The same strategies run inside the security audits, where every entry of
+the view is a numpy array holding one value per enumerated state and the
+stream hands out enumerated digits. A strategy is auditable when it uses
+only +, -, * and % q on its view and draws at most one digit per server
+and instance.
 """
 
 from __future__ import annotations
@@ -151,6 +157,12 @@ def _additive_random(ctx: ByzContext) -> dict:
     }
 
 
+def _first_column(per_instance, i: int):
+    """First payload column of instance i, or of instance 0 when instance i
+    carries none (regime-3 layouts may leave instance 1 empty)."""
+    return (per_instance[i] or per_instance[0])[0]
+
+
 def _query_relay(ctx: ByzContext) -> dict:
     """Transmit a raw query dit instead of the answer: instance i relays
     coordinate i of the first query block."""
@@ -158,7 +170,7 @@ def _query_relay(ctx: ByzContext) -> dict:
     for n in ctx.servers:
         ds = []
         for i in range(ctx.instances):
-            block = ctx.queries[n][i][0]
+            block = _first_column(ctx.queries[n], i)
             dit = block[min(i, len(block) - 1)]
             ds.append((dit - ctx.honest[n][i]) % ctx.q)
         out[n] = tuple(ds)
@@ -171,7 +183,7 @@ def _storage_leak(ctx: ByzContext) -> dict:
     for n in ctx.servers:
         ds = []
         for i in range(ctx.instances):
-            dit = ctx.storage[n][i][0][0]
+            dit = _first_column(ctx.storage[n], i)[0]
             ds.append((dit - ctx.honest[n][i]) % ctx.q)
         out[n] = tuple(ds)
     return out

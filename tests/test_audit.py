@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from qspir.errors import (BudgetExceeded, DimensionMismatch, Infeasible)
 from qspir.mi import AuditBudget
 from qspir.plan import Model, SchemeConfig, plan_regime
 from qspir.protocol import build_scheme, decode
+from qspir import threats
+from qspir.threats import BUILTIN_STRATEGIES
 
 
 def cfg_of(model, N, X, T, E, U, B, q):
@@ -45,16 +49,6 @@ def test_state_grid_rejects_duplicates_and_budget():
         StateGrid(5, tuple("abcdefgh"), AuditBudget(max_states=100))
 
 
-def test_state_grid_sampled_mode_is_deterministic():
-    names = tuple(f"n{i}" for i in range(30))
-    g1 = StateGrid(5, names, sampled=True, sample_seed=7)
-    g2 = StateGrid(5, names, sampled=True, sample_seed=7)
-    c1 = np.concatenate(list(g1.chunks()))
-    c2 = np.concatenate(list(g2.chunks()))
-    assert np.array_equal(c1, c2)
-    assert len(c1) == g1.draws <= g1.states
-
-
 def test_pack_is_bijective_even_with_compaction():
     rng = np.random.default_rng(3)
     count = 200
@@ -79,8 +73,12 @@ CROSS_CHECK_COMBOS = [
     ("xeutspir", 6, 1, 1, 0, 3, 0, 7, "honest-zero", 0),
 ] + [
     ("xbeutspir-static", 6, 1, 1, 0, 0, 1, 7, s, 1)
-    for s in ("honest-zero", "additive-random", "query-relay", "storage-leak",
-              "coordinated-custom")
+    for s in BUILTIN_STRATEGIES
+] + [
+    # regime 3 with no payload column in instance 1: the relay and leak
+    # strategies fall back to instance 0's first column
+    ("xbeutspir-static", 7, 0, 1, 0, 0, 1, 11, s, 1)
+    for s in BUILTIN_STRATEGIES
 ]
 
 
@@ -100,10 +98,12 @@ def test_round_formulas_agree_with_protocol_decoder():
         byz = tuple(scheme.responsive[:byz_count])
         names, _ = round_digit_names(cfg, plan, scheme, strategy=strategy,
                                      byzantine=byz, drop_masked=False)
-        assert q ** len(names) < 2 ** 61
-        grid = StateGrid(q, names, sampled=True, sample_seed=99)
+        grid = StateGrid(q, names, AuditBudget(max_states=q ** len(names)))
+        # Python-int state indices: the widest grid here exceeds int64
+        pick = random.Random(99)
+        idx = np.array([pick.randrange(grid.states) for _ in range(reps)],
+                       dtype=object)
         rng = np.random.default_rng(99)
-        idx = np.arange(reps, dtype=np.int64)  # first rows of the sample
         for theta in range(cfg.K):
             fm = RoundFormulas(scheme, theta, byzantine=byz,
                                strategy=strategy).bind(grid, idx)
@@ -270,6 +270,40 @@ def test_relay_through_tapped_link_safe_when_noise_covers_byzantine():
 
 
 # ---------------------------------------------------------
+# registered strategies run under audit
+# ---------------------------------------------------------
+
+def test_registered_strategy_runs_under_symmetric_privacy(monkeypatch):
+    """A strategy the audit has never heard of is evaluated through the
+    registry on grid arrays: here a nonlinear function of the coalition's
+    storage, query and masking share replaces its answer."""
+    monkeypatch.setattr(threats, "STRATEGIES", dict(threats.STRATEGIES))
+
+    def product(ctx):
+        return {n: tuple(ctx.storage[n][i][0][0] * ctx.queries[n][i][0][0]
+                         + ctx.zhat[n][i] - ctx.honest[n][i]
+                         for i in range(ctx.instances))
+                for n in ctx.servers}
+
+    def greedy(ctx):
+        return {n: (ctx.stream.randint(ctx.q) + ctx.stream.randint(ctx.q),)
+                for n in ctx.servers}
+
+    threats.register_strategy("test-product", product)
+    threats.register_strategy("test-greedy", greedy)
+    cfg = cfg_of("xbeutspir-static", 6, 1, 0, 0, 1, 1, 7)
+    rep = audit_symmetric_privacy(cfg, strategy="test-product")
+    base = audit_symmetric_privacy(cfg, strategy="honest-zero")
+    assert rep.passed, rep.details
+    assert rep.states == base.states > 0  # deterministic: no extra digits
+    rnd = audit_symmetric_privacy(cfg, strategy="additive-random")
+    assert rnd.passed and rnd.states == base.states * cfg.q
+    # one classical instance: two draws exceed one digit per server
+    with pytest.raises(DimensionMismatch):
+        audit_symmetric_privacy(cfg, strategy="test-greedy")
+
+
+# ---------------------------------------------------------
 # budget handling
 # ---------------------------------------------------------
 
@@ -277,12 +311,3 @@ def test_budget_exceeded_propagates_by_default():
     cfg = default_suite_configs()["symmetric-privacy"]
     with pytest.raises(BudgetExceeded):
         audit_symmetric_privacy(cfg, budget=AuditBudget(max_states=10))
-
-
-def test_monte_carlo_fallback_is_marked_statistical():
-    cfg = default_suite_configs()["symmetric-privacy"]
-    rep = audit_symmetric_privacy(
-        cfg, budget=AuditBudget(max_states=10, fallback="monte-carlo"))
-    assert rep.passed
-    assert rep.mode == "monte-carlo"
-    assert "statistical" in rep.details

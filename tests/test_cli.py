@@ -198,6 +198,17 @@ def test_invalid_scheme_reports_error_exit_2(capsys):
     assert err.strip()
 
 
+def test_field_too_small_is_a_config_error_not_a_trial_failure(tmp_path,
+                                                                capsys):
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--model", "xeutspir",
+                                "--N", "4", "--X", "1", "--T", "1", "--q", "3",
+                                "--trials", "3", "--out", str(out))
+    assert code == 2
+    assert "distinct points" in err
+    assert not out.exists() and stdout == ""
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

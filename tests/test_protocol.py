@@ -66,6 +66,17 @@ def test_every_byzantine_strategy_is_corrected():
             assert tr.result.accepted_set is not None
 
 
+def test_strategies_decode_when_instance_two_has_no_payload_column():
+    cfg = cfg_of("xbeutspir-static", 7, 0, 1, 0, 0, 1)
+    assert plan_regime(cfg).c == (1, 0)
+    for strategy in BUILTIN_STRATEGIES:
+        for trial in range(3):
+            threat = ThreatConfig.make(cfg, byzantine=(trial,),
+                                       strategy=strategy)
+            tr = run_round(cfg, seed=41, trial=trial, threat=threat)
+            assert tr.result.w_theta == expected_dits(tr.W, tr.theta), strategy
+
+
 def test_deviations_only_touch_byzantine_servers():
     cfg = cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1)
     threat = ThreatConfig.make(cfg, byzantine=(2,), strategy="additive-random")
