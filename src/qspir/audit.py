@@ -457,7 +457,7 @@ def audit_storage_security(cfg: SchemeConfig, mutation: str | None = None,
     if H == 0:
         return AuditReport(name, True, "enumeration", 0,
                            "no communicating or Byzantine servers; empty view")
-    pts = canonical_points(N, 1, 0, q)
+    pts = canonical_points(N, 1, q)
     names = [("w", k) for k in range(K)]
     names += [("sr", j, k) for j in range(1, H + 1) for k in range(K)]
     grid = StateGrid(q, names, budget)
@@ -584,7 +584,7 @@ def _mask_shape(cfg: SchemeConfig):
 def _mask_alphas(cfg: SchemeConfig, plan):
     if plan is not None:
         return scheme_points(cfg, plan).alphas
-    return canonical_points(cfg.N, 0, 0, cfg.q).alphas
+    return canonical_points(cfg.N, 0, cfg.q).alphas
 
 
 def audit_masking_vs_byzantine(cfg: SchemeConfig, mutation: str | None = None,
@@ -666,13 +666,16 @@ def audit_masking_vs_user(cfg: SchemeConfig, mutation: str | None = None,
 
     Enumerates when the state space fits the budget, otherwise switches to
     the one-time-pad rank certificate over the masking coefficient vector.
+    A classical plan with B > 0 has no drop, so the lemma does not apply:
+    the report then has mode "n/a" and no states.
     """
     budget = budget or AuditBudget()
     q, N, B = cfg.q, cfg.N, cfg.B
     name = "masking-vs-user"
     plan, m_pair, drop_pair = _mask_shape(cfg)
     if plan is not None and plan.classical and B > 0:
-        raise Infeasible(
+        return AuditReport(
+            name, True, "n/a", 0,
             "kept-mask exposure is defined by the transfer-box drop; the "
             "single-instance classical regime keeps every coordinate and is "
             "covered end-to-end by the symmetric-privacy audit"

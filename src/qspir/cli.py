@@ -301,7 +301,10 @@ def cmd_audit(args) -> int:
         try:
             report = audit_mod.run_audit(lemma, cfg, mutation=mutation,
                                          budget=AuditBudget())
-            status = "pass" if report.passed else "fail"
+            if report.mode == "n/a":
+                status = "n/a"
+            else:
+                status = "pass" if report.passed else "fail"
             states = report.states
         except BudgetExceeded:
             status, states = "budget-exceeded", 0
@@ -324,9 +327,10 @@ def cmd_selftest(args) -> int:
     import numpy as np
 
     from . import kernel
-    from .codes import canonical_points
+    from .field import FqMatrix
     from .mi import JointDistribution, mi_exact
-    from .nsumbox import make_transfer_dual_qcsa
+    from .nsumbox import check_sso
+    from .protocol import build_scheme
 
     ok = True
 
@@ -348,19 +352,6 @@ def cmd_selftest(args) -> int:
     check("exact MI: copied pair is nonzero",
           not mi_exact(jd2, (("x",), ("y",))).zero)
 
-    # dual-pair box selector identity at one micro size
-    N, q = 4, 13
-    pts = canonical_points(N, 1, 0, q)
-    box = make_transfer_dual_qcsa(pts, tuple(range(1, N + 1)), 1)
-    sel = True
-    for col in range(2 * N):
-        x = [0] * (2 * N)
-        x[col] = 1
-        y = box.apply(box.generator.matvec(x))
-        want = [1 if r == col - N else 0 for r in range(N)]
-        sel = sel and list(y) == want
-    check("transfer box selects the second column block", sel)
-
     cfg = SchemeConfig(model=Model.parse("xeutspir"), N=4, K=2, X=1, T=1,
                        E=0, U=0, B=0, q=257)
     pt = theorem_rate(cfg)
@@ -373,6 +364,13 @@ def cmd_selftest(args) -> int:
 
     bcfg = SchemeConfig(model=Model.parse("xbeutspir-static"), N=10, K=2,
                         X=2, T=2, E=0, U=1, B=1, q=257)
+    box = build_scheme(bcfg, plan_regime(bcfg), ()).box
+    N, q = bcfg.N, bcfg.q
+    check("transfer box: dropped block self-orthogonal, stack of rank 2N",
+          check_sso(box.g) and box.generator.rank() == 2 * N)
+    check("transfer box selects the second column block",
+          box.gprime.mul(box.generator)
+          == FqMatrix.zeros(N, N, q).hstack(FqMatrix.identity(N, q)))
     fails = 0
     for t in range(5):
         tb = run_round(bcfg, seed=17, trial=t)

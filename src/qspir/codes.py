@@ -1,4 +1,4 @@
-"""Structured code matrices: Cauchy/Vandermonde hybrids and GRS generators.
+"""Structured code matrices: Cauchy/Vandermonde hybrids and their scalings.
 
 The central object is the square hybrid matrix whose row for evaluation
 point a_i is
@@ -6,10 +6,10 @@ point a_i is
     [ 1/(f_1-a_i) ... 1/(f_L-a_i) | 1  a_i  a_i^2 ... a_i^{n-L-1} ]
 
 (L Cauchy columns followed by n-L Vandermonde columns). Its inverse drives
-interference alignment and decoding throughout the protocol. GRS and
-Cauchy-only generators describe what colluding or eavesdropping coalitions
-see; the dual scaling vector v makes the pair of instance generators
-self-orthogonal inside the two-instance transfer construction.
+interference alignment and decoding throughout the protocol. Row-scaled
+by u (instance 1) or by the dual scaling v (instance 2), its columns are
+the generator columns of the two-instance transfer box; the dual scaling
+makes the power columns of the two instances self-orthogonal.
 """
 
 from __future__ import annotations
@@ -22,49 +22,41 @@ from .field import FqMatrix, fe_inv, is_prime
 
 @dataclass(frozen=True)
 class Points:
-    """Evaluation data: server points alphas, alignment points fs, precoder
-    nodes bs, all reduced mod the prime q."""
+    """Evaluation data: server points alphas and alignment points fs, all
+    reduced mod the prime q."""
 
     q: int
     alphas: tuple[int, ...]
     fs: tuple[int, ...]
-    bs: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not is_prime(self.q):
             raise BadPoints(f"{self.q} is not prime")
         object.__setattr__(self, "alphas", tuple(a % self.q for a in self.alphas))
         object.__setattr__(self, "fs", tuple(f % self.q for f in self.fs))
-        object.__setattr__(self, "bs", tuple(b % self.q for b in self.bs))
         if len(set(self.alphas)) != len(self.alphas):
             raise BadPoints("alpha points not pairwise distinct")
         if len(set(self.fs)) != len(self.fs):
             raise BadPoints("f points not pairwise distinct")
         if set(self.alphas) & set(self.fs):
             raise BadPoints("alpha and f points collide")
-        if len(set(self.bs)) != len(self.bs):
-            raise BadPoints("b points not pairwise distinct")
 
     def restrict(self, indices) -> "Points":
         """Sub-family keeping only the alpha points at the given 0-based indices."""
         alphas = tuple(self.alphas[i] for i in indices)
-        return Points(self.q, alphas, self.fs, self.bs)
+        return Points(self.q, alphas, self.fs)
 
 
-def canonical_points(N: int, num_f: int, width: int, q: int) -> Points:
-    """Default placement: alphas 1..N, fs following them (wrapping mod q),
-    precoder nodes 0,1,...,width-1. FieldTooSmall when q cannot host all
-    distinct values."""
+def canonical_points(N: int, num_f: int, q: int) -> Points:
+    """Default placement: alphas 1..N, fs following them (wrapping mod q).
+    FieldTooSmall when q cannot host all distinct values."""
     if N + num_f > q:
         raise FieldTooSmall(
             f"need {N}+{num_f} distinct points but q={q}"
         )
-    if width > q:
-        raise FieldTooSmall(f"need {width} distinct precoder nodes but q={q}")
     alphas = tuple(range(1, N + 1))
     fs = tuple((N + j) % q for j in range(1, num_f + 1))
-    bs = tuple(range(width))
-    return Points(q, alphas, fs, bs)
+    return Points(q, alphas, fs)
 
 
 def build_csa(n_rows: int, L: int, pts: Points) -> FqMatrix:
@@ -87,55 +79,6 @@ def build_csa(n_rows: int, L: int, pts: Points) -> FqMatrix:
             row.append(p)
             p = p * a % q
         rows.append(row)
-    return FqMatrix.from_rows(rows, q)
-
-
-def build_vandermonde(width: int, pts: Points) -> FqMatrix:
-    """Square width x width matrix V[i][j] = bs[i]^j."""
-    if width > len(pts.bs):
-        raise DimensionMismatch(f"need {width} b points, have {len(pts.bs)}")
-    q = pts.q
-    rows = []
-    for b in pts.bs[:width]:
-        row = []
-        p = 1
-        for _ in range(width):
-            row.append(p)
-            p = p * b % q
-        rows.append(row)
-    return FqMatrix.from_rows(rows, q)
-
-
-def build_grs(N: int, k: int, pts: Points, u) -> FqMatrix:
-    """N x k generalized Reed-Solomon generator: row n is u_n*(1, a_n, ..., a_n^{k-1})."""
-    q = pts.q
-    u = _check_scaling(N, u, q)
-    if N > len(pts.alphas):
-        raise DimensionMismatch("not enough alpha points")
-    rows = []
-    for n in range(N):
-        a = pts.alphas[n]
-        row = []
-        p = u[n]
-        for _ in range(k):
-            row.append(p)
-            p = p * a % q
-        rows.append(row)
-    return FqMatrix.from_rows(rows, q)
-
-
-def build_gc(N: int, L: int, pts: Points, u) -> FqMatrix:
-    """N x L generalized Cauchy generator: entry (n, j) = u_n/(f_j - a_n)."""
-    q = pts.q
-    u = _check_scaling(N, u, q)
-    if N > len(pts.alphas):
-        raise DimensionMismatch("not enough alpha points")
-    if L > len(pts.fs):
-        raise DimensionMismatch("not enough f points")
-    rows = []
-    for n in range(N):
-        a = pts.alphas[n]
-        rows.append([u[n] * fe_inv(pts.fs[j] - a, q) % q for j in range(L)])
     return FqMatrix.from_rows(rows, q)
 
 

@@ -206,21 +206,3 @@ class FqMatrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.data)
-
-
-def block_diag(blocks: list[FqMatrix], q: int) -> FqMatrix:
-    """Square-ish block-diagonal assembly of the given matrices."""
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    grid = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
-        if b.q != q:
-            raise DimensionMismatch("block_diag: mixed fields")
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                grid[r0 + i][c0 + j] = row[j]
-        r0 += b.rows
-        c0 += b.cols
-    return FqMatrix.from_rows(grid, q) if rows else FqMatrix.zeros(0, cols, q)

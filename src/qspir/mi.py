@@ -130,13 +130,13 @@ def _group_code(joint: JointDistribution, group) -> tuple:
         _, inv = np.unique(col, return_inverse=True)
         inv = inv.astype(np.int64)
         if code is None:
-            code = inv
+            code = inv  # np.unique's inverse is already compact: 0..k-1
         else:
             # Cardinalities stay <= total after each compaction, so the
             # mixed-radix combination cannot overflow int64.
             code = code * (int(inv.max()) + 1) + inv
-        _, code = np.unique(code, return_inverse=True)
-        code = code.astype(np.int64)
+            _, code = np.unique(code, return_inverse=True)
+            code = code.astype(np.int64)
     return code, int(code.max()) + 1
 
 

@@ -4,9 +4,10 @@ Given threat parameters (N, K, X, T, E, U, B, q) and a threat model, the
 planner picks the operating regime and derives every layout dimension the
 protocol needs: per-instance payload widths, masked-interference degrees,
 dropped-over-the-air counts, query noise orders, dummy-column counts and
-the precoder width. The derived quantities satisfy the bookkeeping
-identities (payload + mask + 3B = N - U per instance; dropped counts sum
-to N; precoder width + 4B + 2U = N) which the constructor asserts.
+the payload + kept width vw the decoder reads off the box. The derived
+quantities satisfy the bookkeeping identities (payload + mask + 3B = N - U
+per instance; dropped counts sum to N; vw + 4B + 2U = N) which the
+constructor asserts.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class RegimePlan:
     instance 0 only. c = payload columns (dummies + message dits), m =
     masked interference degrees, t = query noise order, drop = coefficients
     lost over the air, k = masked coefficients the user still receives,
-    vw = precoder width.
+    vw = payload + kept width: the first vw box outputs, which the decoder
+    reads as the payload and kept-mask coordinates.
     """
 
     regime: int
@@ -129,7 +131,7 @@ class RegimePlan:
             if self.drop[0] + self.drop[1] != self.N:
                 raise Infeasible("dropped counts must sum to N")
             if self.vw + 4 * self.B + 2 * self.U != self.N:
-                raise Infeasible("precoder width + 4B + 2U must equal N")
+                raise Infeasible("payload + kept width vw + 4B + 2U must equal N")
 
     @property
     def payload_total(self) -> int:

@@ -12,9 +12,10 @@ whose dropped directions are exactly the low-degree (heavily masked)
 interference. Regime 4 is classical: one instance, scalar answers from
 responsive servers, direct interpolation.
 
-Decoding inverts the Vandermonde precoder block, discards erasure slots,
-and, when B > 0, delegates to the corrector to locate and cancel Byzantine
-contamination before reading off the retrieved dits.
+Decoding reads the payload and kept-mask coefficients straight off the box
+output, discards erasure slots, and, when B > 0, delegates to the corrector
+to locate and cancel Byzantine contamination before reading off the
+retrieved dits.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corrector as corr_mod
-from .codes import Points, build_csa, build_vandermonde, canonical_points, dual_scaling
+from .codes import Points, build_csa, build_qcsa, canonical_points, dual_scaling
 from .errors import DimensionMismatch
 from .field import FqMatrix, fe_inv
-from .nsumbox import TransferBox, make_transfer, precode
+from .nsumbox import TransferBox, make_transfer
 from .plan import RegimePlan, SchemeConfig, plan_regime
 from .rng import Stream
 from .threats import ThreatConfig, apply_strategy, ByzContext
@@ -106,7 +107,6 @@ class BuiltScheme:
     responsive: tuple[int, ...]
     unresponsive: tuple[int, ...]
     box: TransferBox | None
-    vinv: FqMatrix | None
     csa_resp: tuple          # per-instance responsive interpolation matrix
 
 
@@ -193,7 +193,7 @@ def honest_answer(zhat, srows, qrows, q: int):
 
 def scheme_points(cfg: SchemeConfig, plan: RegimePlan) -> Points:
     num_f = max(plan.c)
-    return canonical_points(cfg.N, num_f, plan.vw, cfg.q)
+    return canonical_points(cfg.N, num_f, cfg.q)
 
 
 def canonical_u(cfg: SchemeConfig) -> tuple[int, ...]:
@@ -221,71 +221,44 @@ def build_scheme(cfg: SchemeConfig, plan: RegimePlan, unresponsive) -> BuiltSche
     if plan.classical:
         csa0 = build_csa(nv, plan.c[0], rpts)
         return BuiltScheme(cfg, plan, pts, u, v, responsive, unresp,
-                           box=None, vinv=None, csa_resp=(csa0, None))
+                           box=None, csa_resp=(csa0, None))
     box = _scheme_box(cfg, plan, pts, u, v, unresp)
-    vand = build_vandermonde(plan.vw, pts)
-    vinv = vand.inv() if plan.vw else None
     csa0 = build_csa(nv, plan.c[0], rpts)
     csa1 = csa0 if plan.c[1] == plan.c[0] else build_csa(nv, plan.c[1], rpts)
     return BuiltScheme(cfg, plan, pts, u, v, responsive, unresp,
-                       box=box, vinv=vinv, csa_resp=(csa0, csa1))
-
-
-def _degree_col(scale, alphas, d: int, q: int) -> list[int]:
-    return [s * pow(a, d, q) % q for s, a in zip(scale, alphas)]
-
-
-def _cauchy_col(scale, alphas, f: int, q: int) -> list[int]:
-    return [s * fe_inv(f - a, q) % q for s, a in zip(scale, alphas)]
+                       box=box, csa_resp=(csa0, csa1))
 
 
 def _scheme_box(cfg, plan, pts, u, v, unresp) -> TransferBox:
     """Generator stack of the scheme's transfer box.
 
-    Dropped directions: per instance, the lowest drop_i degree columns.
-    Kept directions, in order: instance payload (Cauchy) columns, kept
-    masked-degree columns, correction-data degree columns (honest-zero),
-    then one erasure unit column per unresponsive server and instance.
-    The Vandermonde precoder mixes exactly the payload+kept block.
+    Instance i's columns are those of build_qcsa(N, c_i) row-scaled by u
+    (instance 1) or v (instance 2): c_i Cauchy columns, then the powers
+    0, 1, ... of the alphas. Dropped directions: per instance, the lowest
+    drop_i powers. Kept directions, in order: instance payload (Cauchy)
+    columns, kept masked-degree powers, correction-data powers
+    (honest-zero), then one erasure unit column per unresponsive server and
+    instance. The receiver thus reads the payload and kept-mask
+    coefficients in its first vw outputs.
     """
     N, q = cfg.N, cfg.q
-    alphas = pts.alphas
-    zeros = [0] * N
+    zero = FqMatrix.zeros(N, N, q)
+    inst = [build_qcsa(N, plan.c[i], pts, scale) for i, scale in enumerate((u, v))]
+    # columns 0..N-1: instance 1, N..2N-1: instance 2, 2N..4N-1: unit columns
+    cols = (inst[0].hstack(zero).vstack(zero.hstack(inst[1]))
+            .hstack(FqMatrix.identity(2 * N, q)))
 
-    def inst_col(i: int, col: list[int]) -> list[int]:
-        return col + zeros if i == 0 else zeros + col
+    def degree_cols(lo, hi) -> list[int]:
+        """Indices of the powers lo[i]..hi[i]-1 of instance i, i = 0 then 1."""
+        return [i * N + plan.c[i] + d for i in (0, 1) for d in range(lo[i], hi[i])]
 
-    scale = (u, v)
-    g_cols = []
-    for i in (0, 1):
-        for d in range(plan.drop[i]):
-            g_cols.append(inst_col(i, _degree_col(scale[i], alphas, d, q)))
-    h_cols = []
-    for i in (0, 1):
-        for l in range(plan.c[i]):
-            h_cols.append(inst_col(i, _cauchy_col(scale[i], alphas, pts.fs[l], q)))
-    for i in (0, 1):
-        for d in range(plan.drop[i], plan.m[i] + plan.B):
-            h_cols.append(inst_col(i, _degree_col(scale[i], alphas, d, q)))
-    for i in (0, 1):
-        for d in range(plan.m[i] + plan.B, plan.m[i] + 3 * plan.B):
-            h_cols.append(inst_col(i, _degree_col(scale[i], alphas, d, q)))
-    for i in (0, 1):
-        for n in unresp:
-            col = [0] * (2 * N)
-            col[i * N + n] = 1
-            h_cols.append(col)
-
-    G = FqMatrix.from_rows(g_cols, q).transpose()
-    Hc = FqMatrix.from_rows(h_cols, q).transpose()
-    base = make_transfer(G, Hc)
-    if plan.vw == 0:
-        return base
-    vand = build_vandermonde(plan.vw, pts)
-    tail = FqMatrix.identity(4 * plan.B + 2 * cfg.U, q)
-    from .field import block_diag
-    V2 = block_diag([vand, tail], q).inv()
-    return precode(base, FqMatrix.identity(N, q), V2)
+    mb = [plan.m[i] + plan.B for i in (0, 1)]
+    drop = degree_cols((0, 0), plan.drop)
+    keep = ([i * N + l for i in (0, 1) for l in range(plan.c[i])]  # payload
+            + degree_cols(plan.drop, mb)                          # kept masks
+            + degree_cols(mb, [d + 2 * plan.B for d in mb])       # correction
+            + [2 * N + i * N + n for i in (0, 1) for n in unresp])  # erasures
+    return make_transfer(cols.take_cols(drop), cols.take_cols(keep))
 
 
 # ======================================================================
@@ -427,8 +400,7 @@ def decode(scheme: BuiltScheme, received) -> DecodedResult:
         return _decode_classical(scheme, received)
     q = cfg.q
     vw, B = plan.vw, plan.B
-    mixed = received[:vw]
-    pk = scheme.vinv.matvec(mixed) if vw else ()
+    pk = received[:vw]
     c0, c1 = plan.c
     k0, k1 = plan.k
     p_out = [list(pk[:c0]), list(pk[c0 : c0 + c1])]

@@ -9,17 +9,15 @@ import re
 import time
 from fractions import Fraction
 
-from conftest import record_acceptance
+from conftest import box_defects, record_acceptance, scheme_boxes
 
 from qspir.audit import (DEFAULT_MUTANTS, audit_eavesdropper,
                          audit_masking_vs_user, audit_symmetric_privacy,
                          default_suite, default_suite_configs, run_audit)
-from qspir.codes import canonical_points
 from qspir.corrector import (build_views, correction_vector, psi,
                              search_and_correct)
 from qspir.errors import Infeasible
 from qspir.field import FqMatrix
-from qspir.nsumbox import check_sso, make_transfer_dual_qcsa
 from qspir.plan import Model, SchemeConfig, plan_regime
 from qspir.protocol import build_scheme, expected_dits, run_round
 from qspir.rates import theorem_rate
@@ -199,9 +197,10 @@ def test_correction_consistency_sweep():
 
 
 def test_transfer_matrix_feasibility():
-    """Every constructed box: self-orthogonal dropped block and full-rank
-    2N generator stack; the dual-pair selector identity holds exactly for
-    every N <= 8 at q = 13."""
+    """Every box the protocol builds: self-orthogonal dropped block,
+    full-rank 2N generator stack and the selector identity, on the
+    retrieval grid and on every feasible quantum config with N <= 8 at
+    q = 13."""
     schemes = 0
     bad = 0
     for model, regime, N, X, T, E, U, B in RETRIEVAL_GRID:
@@ -209,33 +208,17 @@ def test_transfer_matrix_feasibility():
         plan = plan_regime(cfg)
         if plan.classical:
             continue
-        scheme = build_scheme(cfg, plan, ())
         schemes += 1
-        stack = scheme.box.generator
-        bad += not check_sso(scheme.box.g)
-        bad += stack.rank() != 2 * cfg.N
-    selector_bad = 0
-    pairs = 0
-    for N in range(2, 9):
-        for L in range(0, N // 2 + 1):
-            q = 13
-            try:
-                pts = canonical_points(N, max(L, 1), 0, q)
-            except Exception:
-                continue
-            u = tuple(range(1, N + 1))
-            box = make_transfer_dual_qcsa(pts, u, max(L, 1))
-            pairs += 1
-            for col in range(2 * N):
-                x = [0] * (2 * N)
-                x[col] = 1
-                y = box.apply(box.generator.matvec(x))
-                want = [1 if r == col - N else 0 for r in range(N)]
-                selector_bad += list(y) != want
-    ok = bad == 0 and selector_bad == 0
+        bad += bool(box_defects(build_scheme(cfg, plan, ()).box))
+    sweep = 0
+    sweep_bad = 0
+    for _, box in scheme_boxes(8, 13):
+        sweep += 1
+        sweep_bad += bool(box_defects(box))
+    ok = bad == 0 and sweep_bad == 0
     report("transfer-feasibility", ok,
-           f"{schemes} scheme boxes SSO + rank-2N; {pairs} dual pairs, "
-           f"{selector_bad} selector violations")
+           f"{schemes} grid boxes, {sweep} boxes with N <= 8 at q = 13; "
+           f"{bad + sweep_bad} violate SSO, rank 2N or the selector identity")
     assert ok
 
 

@@ -239,8 +239,9 @@ def test_mask_audits_run_on_rate_infeasible_shapes():
 def test_user_masking_refuses_classical_byzantine():
     cfg = cfg_of("xbeutspir-static", 6, 1, 0, 0, 1, 1, 7)
     assert plan_regime(cfg).classical
-    with pytest.raises(Infeasible):
-        audit_masking_vs_user(cfg)
+    rep = audit_masking_vs_user(cfg)
+    assert (rep.passed, rep.mode, rep.states) == (True, "n/a", 0)
+    assert "symmetric-privacy" in rep.details
 
 
 def test_user_masking_trivial_without_byzantine():

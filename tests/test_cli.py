@@ -162,6 +162,22 @@ def test_audit_single_config_runs_each_lemma(capsys):
     assert "eavesdropper" in out
 
 
+def test_audit_reports_inapplicable_lemma_and_goes_on(tmp_path, capsys):
+    """masking-vs-user does not apply to a classical Byzantine plan; the
+    audit says n/a there and still runs the lemmas after it."""
+    out_path = tmp_path / "audit.csv"
+    code, _, _ = run_cli(capsys, "audit", "--model", "xbeutspir-static",
+                         "--N", "6", "--X", "1", "--T", "0", "--U", "1",
+                         "--B", "1", "--q", "7", "--out", str(out_path))
+    rows = csv.DictReader(io.StringIO(out_path.read_text()))
+    status = {r["lemma"]: r["status"] for r in rows}
+    assert code == 0
+    assert status == {
+        "storage-security": "pass", "query-privacy": "pass",
+        "masking-vs-byzantine": "pass", "masking-vs-user": "n/a",
+        "symmetric-privacy": "pass", "eavesdropper": "pass"}
+
+
 # ---------------------------------------------------------
 # config file, exit codes, selftest
 # ---------------------------------------------------------

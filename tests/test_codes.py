@@ -3,10 +3,7 @@ import pytest
 from qspir.codes import (
     Points,
     build_csa,
-    build_gc,
-    build_grs,
     build_qcsa,
-    build_vandermonde,
     canonical_points,
     dual_scaling,
 )
@@ -19,20 +16,19 @@ from qspir.field import fe_inv
 # ---------------------------------------------------------
 
 def test_canonical_points_distinct():
-    pts = canonical_points(6, 2, 3, 13)
+    pts = canonical_points(6, 2, 13)
     assert len(set(pts.alphas)) == 6
     assert len(set(pts.fs)) == 2
     assert not set(pts.alphas) & set(pts.fs)
-    assert pts.bs == (0, 1, 2)
 
 
 def test_canonical_points_field_too_small():
     with pytest.raises(FieldTooSmall):
-        canonical_points(5, 1, 0, 5)
+        canonical_points(5, 1, 5)
 
 
 def test_canonical_points_no_f_points():
-    pts = canonical_points(5, 0, 0, 5)
+    pts = canonical_points(5, 0, 5)
     assert pts.fs == ()
     # values normalize mod q yet stay pairwise distinct
     assert pts.alphas == (1, 2, 3, 4, 0)
@@ -40,13 +36,13 @@ def test_canonical_points_no_f_points():
 
 def test_points_reject_collisions():
     with pytest.raises(BadPoints):
-        Points(7, (1, 1, 2), (3,), ())
+        Points(7, (1, 1, 2), (3,))
     with pytest.raises(BadPoints):
-        Points(7, (1, 2), (2,), ())
+        Points(7, (1, 2), (2,))
 
 
 def test_restrict_keeps_selected_alphas():
-    pts = canonical_points(5, 1, 0, 11)
+    pts = canonical_points(5, 1, 11)
     sub = pts.restrict((0, 2, 4))
     assert sub.alphas == (1, 3, 5)
     assert sub.fs == pts.fs
@@ -63,14 +59,14 @@ def test_csa_is_invertible_across_sizes():
             for L in range(0, n + 1):
                 if n + max(L, 1) > q:
                     continue
-                pts = canonical_points(n, max(L, 1), 0, q)
+                pts = canonical_points(n, max(L, 1), q)
                 m = build_csa(n, L, pts)
                 assert m.rank() == n
 
 
 def test_csa_entries_formula():
     q = 13
-    pts = canonical_points(3, 2, 0, q)
+    pts = canonical_points(3, 2, q)
     m = build_csa(3, 2, pts)
     for n in range(3):
         a = pts.alphas[n]
@@ -79,29 +75,9 @@ def test_csa_entries_formula():
         assert m[(n, 2)] == 1  # degree-0 power column
 
 
-def test_vandermonde_entries():
-    pts = canonical_points(2, 0, 4, 11)
-    v = build_vandermonde(4, pts)
-    for i, b in enumerate(pts.bs):
-        for j in range(4):
-            assert v[(i, j)] == pow(b, j, 11)
-
-
-def test_grs_and_gc_row_scaling():
-    q = 13
-    pts = canonical_points(4, 1, 0, q)
-    u = (2, 3, 4, 5)
-    grs = build_grs(4, 3, pts, u)
-    gc = build_gc(4, 1, pts, u)
-    for n in range(4):
-        a = pts.alphas[n]
-        assert grs.row(n) == tuple(u[n] * pow(a, j, q) % q for j in range(3))
-        assert gc[(n, 0)] == u[n] * fe_inv((pts.fs[0] - a) % q, q) % q
-
-
 def test_qcsa_is_scaled_csa():
     q = 13
-    pts = canonical_points(4, 1, 0, q)
+    pts = canonical_points(4, 1, q)
     u = (1, 2, 3, 4)
     base = build_csa(4, 1, pts)
     scaled = build_qcsa(4, 1, pts, u)
@@ -110,9 +86,9 @@ def test_qcsa_is_scaled_csa():
 
 
 def test_scaling_must_be_nonzero():
-    pts = canonical_points(3, 1, 0, 7)
+    pts = canonical_points(3, 1, 7)
     with pytest.raises(BadPoints):
-        build_grs(3, 2, pts, (1, 0, 2))
+        build_qcsa(3, 1, pts, (1, 0, 2))
 
 
 # ---------------------------------------------------------
@@ -124,7 +100,7 @@ def test_dual_scaling_moment_identity():
     two-instance generators self-orthogonal."""
     for q in (13, 257):
         for N in range(2, 8):
-            pts = canonical_points(N, 0, 0, q)
+            pts = canonical_points(N, 0, q)
             u = tuple(range(1, N + 1))
             v = dual_scaling(u, pts)
             for k in range(N - 1):
@@ -136,8 +112,8 @@ def test_dual_scaling_moment_identity():
 
 
 def test_build_size_guards():
-    pts = canonical_points(3, 1, 0, 11)
+    pts = canonical_points(3, 1, 11)
     with pytest.raises(DimensionMismatch):
         build_csa(4, 1, pts)
     with pytest.raises(DimensionMismatch):
-        build_vandermonde(1, pts)
+        build_csa(3, 2, pts)

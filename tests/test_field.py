@@ -3,7 +3,7 @@ import pytest
 
 from qspir import _purekernel
 from qspir.errors import DimensionMismatch, Singular, ZeroInverse
-from qspir.field import FqMatrix, block_diag, fe_inv
+from qspir.field import FqMatrix, fe_inv
 from qspir.kernel import KERNEL_NAME, k_inv, k_mul, k_rank, k_solve
 
 
@@ -102,13 +102,6 @@ def test_mixed_moduli_rejected():
 def test_nonsquare_inverse_rejected():
     with pytest.raises(DimensionMismatch):
         FqMatrix.from_rows([[1, 2]], 5).inv()
-
-
-def test_block_diag_layout():
-    a = FqMatrix.from_rows([[1, 2], [3, 4]], 7)
-    b = FqMatrix.from_rows([[5]], 7)
-    d = block_diag([a, b], 7)
-    assert d.to_rows() == [[1, 2, 0], [3, 4, 0], [0, 0, 5]]
 
 
 # ---------------------------------------------------------

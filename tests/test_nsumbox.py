@@ -1,15 +1,10 @@
 import pytest
 
-from qspir.codes import canonical_points, dual_scaling
-from qspir.errors import DimensionMismatch, NotInvertible, NotSSO, Singular
-from qspir.field import FqMatrix, block_diag
-from qspir.nsumbox import (
-    TransferBox,
-    check_sso,
-    make_transfer,
-    make_transfer_dual_qcsa,
-    precode,
-)
+from conftest import box_defects, scheme_boxes
+
+from qspir.errors import NotInvertible, NotSSO
+from qspir.field import FqMatrix
+from qspir.nsumbox import check_sso, make_transfer
 
 
 # ---------------------------------------------------------
@@ -70,63 +65,11 @@ def test_make_transfer_rejects_singular_stack():
 
 
 def test_selector_identity_sweep():
-    """Receiver recovers exactly the second column block's coefficients:
-    box(generator(x)) == x[N:] for all unit inputs, every N <= 8 at q = 13."""
-    q = 13
-    for N in range(2, 9):
-        for L in range(0, N // 2 + 1):
-            if N + max(L, 1) > q:
-                continue
-            pts = canonical_points(N, max(L, 1), 0, q)
-            u = tuple(range(1, N + 1))
-            box = make_transfer_dual_qcsa(pts, u, L)
-            for col in range(2 * N):
-                x = [0] * (2 * N)
-                x[col] = 1
-                y = box.apply(box.generator.matvec(x))
-                want = tuple(1 if r == col - N else 0 for r in range(N))
-                assert tuple(y) == want
-
-
-def test_dual_box_first_block_is_sso_and_stack_invertible():
-    q = 13
-    for N in range(2, 9):
-        pts = canonical_points(N, 1, 0, q)
-        box = make_transfer_dual_qcsa(pts, tuple(range(1, N + 1)), 1)
-        assert check_sso(box.g)
-        assert box.generator.rank() == 2 * N
-
-
-# ---------------------------------------------------------
-# precoding
-# ---------------------------------------------------------
-
-def test_precode_composes_with_the_inverse():
-    """precode(box, V1, V2) then feeding V-precoded coefficients must give
-    the same receiver output as the raw box."""
-    q = 13
-    N = 4
-    pts = canonical_points(N, 1, 0, q)
-    box = make_transfer_dual_qcsa(pts, (1, 2, 3, 4), 1)
-    V1 = FqMatrix.from_rows(
-        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]], q)
-    V2 = FqMatrix.from_rows(
-        [[2, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 5, 1]], q)
-    boxed = precode(box, V1, V2)
-    x = [3, 1, 4, 1, 5, 9, 2, 6]
-    # raw on-air word, decoded through the precoded receiver map
-    y = boxed.apply(box.generator.matvec(x))
-    want = V2.inv().matvec(x[N:])
-    assert tuple(y) == tuple(want)
-    # the precoded box still satisfies its own selector identity
-    y2 = boxed.apply(boxed.generator.matvec(x))
-    assert tuple(y2) == tuple(x[N:])
-
-
-def test_precode_rejects_singular_precoders():
-    q = 13
-    pts = canonical_points(4, 1, 0, q)
-    box = make_transfer_dual_qcsa(pts, (1, 2, 3, 4), 1)
-    bad = FqMatrix.zeros(4, 4, q)
-    with pytest.raises(Singular):
-        precode(box, bad, FqMatrix.identity(4, q))
+    """The box build_scheme runs, for every feasible quantum config with
+    N <= 8 at q = 13: self-orthogonal dropped block, rank-2N stack, and
+    box(generator(e_j)) is the unit selector of the second column block."""
+    boxes = 0
+    for cfg, box in scheme_boxes(8, 13):
+        assert box_defects(box) == [], cfg
+        boxes += 1
+    assert boxes > 100

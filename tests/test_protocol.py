@@ -1,5 +1,10 @@
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qspir.errors import Infeasible
 from qspir.plan import Model, SchemeConfig, plan_regime
 from qspir.protocol import expected_dits, run_round
+from qspir.rng import Stream
 from qspir.threats import BUILTIN_STRATEGIES, ThreatConfig
 
 
@@ -128,3 +133,24 @@ def test_random_threat_rounds_across_models():
         for trial in range(4):
             tr = run_round(cfg, seed=97, trial=trial)
             assert tr.result.w_theta == expected_dits(tr.W, tr.theta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(model=st.sampled_from(list(Model)), N=st.integers(1, 12),
+       X=st.integers(0, 3), T=st.integers(0, 3), E=st.integers(0, 3),
+       U=st.integers(0, 2), B=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_feasible_configs_decode_under_every_strategy(model, N, X, T, E, U,
+                                                      B, seed):
+    """Any feasible config at q = 257 returns exactly the requested dits
+    under a random full-size threat placement, whatever the liars send."""
+    assume(B == 0 or model.byzantine)
+    cfg = SchemeConfig(model=model, N=N, K=2, X=X, T=T, E=E, U=U, B=B, q=257)
+    try:
+        plan_regime(cfg)
+    except Infeasible:
+        assume(False)
+    for strategy in BUILTIN_STRATEGIES:
+        threat = ThreatConfig.random(cfg, Stream(seed, "placement"),
+                                     strategy=strategy)
+        tr = run_round(cfg, seed, 0, threat=threat)
+        assert tr.result.w_theta == expected_dits(tr.W, tr.theta)
