@@ -2,6 +2,7 @@ import pytest
 
 from conftest import box_defects, scheme_boxes
 
+from qspir.codes import build_qcsa, canonical_points, dual_scaling
 from qspir.errors import NotInvertible, NotSSO
 from qspir.field import FqMatrix
 from qspir.nsumbox import check_sso, make_transfer
@@ -62,6 +63,26 @@ def test_make_transfer_rejects_singular_stack():
     H = G  # duplicated columns cannot span
     with pytest.raises(NotInvertible):
         make_transfer(G, H)
+
+
+def test_dual_box_first_block_is_sso_and_stack_invertible():
+    """The dual pair diag(u)*QCSA, diag(v)*QCSA with v = dual_scaling(u),
+    one Cauchy column each: dropping the lowest ceil(N/2) powers of
+    instance 1 and floor(N/2) of instance 2 leaves a self-orthogonal G,
+    and the kept columns complete it to a rank-2N stack."""
+    q = 13
+    for N in range(2, 9):
+        pts = canonical_points(N, 1, q)
+        u = tuple(range(1, N + 1))
+        zero = FqMatrix.zeros(N, N, q)
+        cols = (build_qcsa(N, 1, pts, u).hstack(zero)
+                .vstack(zero.hstack(build_qcsa(N, 1, pts, dual_scaling(u, pts)))))
+        mu, nu = N // 2, (N + 1) // 2
+        drop = [1 + j for j in range(nu)] + [N + 1 + j for j in range(mu)]
+        keep = [j for j in range(2 * N) if j not in drop]
+        box = make_transfer(cols.take_cols(drop), cols.take_cols(keep))
+        assert check_sso(box.g)
+        assert box.generator.rank() == 2 * N
 
 
 def test_selector_identity_sweep():
