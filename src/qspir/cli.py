@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .errors import BudgetExceeded, QspirError
+from .errors import BudgetExceeded, QspirError, SetTooLarge
 from .mi import AuditBudget
 from .plan import Model, SchemeConfig, plan_regime
 from .protocol import expected_dits, run_round, scheme_points
@@ -242,13 +242,20 @@ def _scheme_config(args) -> SchemeConfig:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     cfg = _scheme_config(args)
     plan = plan_regime(cfg)
-    # a field too small for the evaluation points is a configuration
-    # error, not a per-trial protocol failure
+    # a field too small for the evaluation points, or more erasures than
+    # the layout reserves slots for, is a configuration error, not a
+    # per-trial protocol failure
     scheme_points(cfg, plan)
     fixed_sets = (_parse_set(args.eaves_up), _parse_set(args.eaves_down),
                   _parse_set(args.byzantine), _parse_set(args.unresponsive))
+    unresp = fixed_sets[3]
+    if unresp is not None and len(set(unresp)) > cfg.U:
+        raise SetTooLarge(f"--unresponsive names {len(set(unresp))} servers "
+                          f"but the scheme tolerates U = {cfg.U}")
     jobs = [(cfg, args.seed, t, args.strategy, fixed_sets)
             for t in range(args.trials)]
     if args.workers > 1:

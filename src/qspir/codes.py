@@ -62,6 +62,17 @@ def canonical_points(N: int, num_f: int, q: int) -> Points:
 def build_csa(n_rows: int, L: int, pts: Points) -> FqMatrix:
     """Square n_rows x n_rows hybrid matrix over the first n_rows alphas:
     L Cauchy columns (points fs[:L]) then n_rows-L power columns."""
+    return _hybrid(n_rows, L, pts, None)
+
+
+def build_qcsa(N: int, L: int, pts: Points, u) -> FqMatrix:
+    """Row-scaled hybrid matrix diag(u) * CSA(N, L)."""
+    return _hybrid(N, L, pts, u)
+
+
+def _hybrid(n_rows: int, L: int, pts: Points, scale) -> FqMatrix:
+    """CSA(n_rows, L), each row multiplied by its scale entry as it is
+    built (no scaling when scale is None)."""
     q = pts.q
     if n_rows > len(pts.alphas):
         raise DimensionMismatch(
@@ -71,24 +82,15 @@ def build_csa(n_rows: int, L: int, pts: Points) -> FqMatrix:
         raise DimensionMismatch(f"need {L} f points, have {len(pts.fs)}")
     if L > n_rows:
         raise DimensionMismatch("more Cauchy columns than rows")
-    rows = []
-    for a in pts.alphas[:n_rows]:
-        row = [fe_inv(pts.fs[j] - a, q) for j in range(L)]
-        p = 1
+    scale = (1,) * n_rows if scale is None else _check_scaling(n_rows, scale, q)
+    data = []
+    for a, s in zip(pts.alphas[:n_rows], scale):
+        data.extend(s * fe_inv(pts.fs[j] - a, q) % q for j in range(L))
+        p = s
         for _ in range(n_rows - L):
-            row.append(p)
+            data.append(p)
             p = p * a % q
-        rows.append(row)
-    return FqMatrix.from_rows(rows, q)
-
-
-def build_qcsa(N: int, L: int, pts: Points, u) -> FqMatrix:
-    """Row-scaled hybrid matrix diag(u) * CSA(N, L)."""
-    base = build_csa(N, L, pts)
-    q = pts.q
-    u = _check_scaling(N, u, q)
-    rows = [[u[i] * x % q for x in base.row(i)] for i in range(N)]
-    return FqMatrix.from_rows(rows, q)
+    return FqMatrix(n_rows, n_rows, q, tuple(data))
 
 
 def dual_scaling(u, pts: Points) -> tuple[int, ...]:

@@ -11,15 +11,27 @@ snapshots of the contamination. For a candidate support J:
     Phi(J) = preceding B rows of Cinv, columns J  (consistency block)
 
 Delta is estimated from the Psi block and accepted iff the Phi block
-agrees; the candidate search walks supports in lexicographic order and in
-the two-instance regimes demands joint consistency (the lying servers are
-the same in both instances). Any accepted candidate yields the same full
-correction vector, which tests verify exhaustively.
+agrees.
+
+The liars are located, not searched for. The last 2B rows of Cinv are a
+parity-check matrix of a generalized Reed-Solomon code, up to an
+invertible 2B x 2B row transform R:
+
+    last 2B rows of Cinv = R * [w_n a_n^j],  j = 0..2B-1,
+
+with a_n the responsive alphas and w_n the dual column multipliers (see
+syndromes). So R^-1 maps the contaminated slots to the power sums
+S_j = sum_n w_n a_n^j Delta_n, and Berlekamp-Massey plus a root search over
+the alphas returns the support of the unique deviation of weight at most B
+behind them (the code has minimum distance 2B+1). The supports consistent
+in an instance are exactly the size-B supersets of that support, so the
+lexicographically first support consistent in every instance is the union
+of the located supports padded with the lowest unused indices; it is still
+checked with estimate_and_check before it is accepted.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DecodeFailure, DimensionMismatch, Singular
@@ -28,8 +40,9 @@ from .field import FqMatrix
 
 @dataclass(frozen=True)
 class CorrectionViews:
-    """Inverse-interpolation slices for one instance."""
+    """Responsive interpolation matrix and its inverse for one instance."""
 
+    csa: FqMatrix
     cinv: FqMatrix
     payload: int
     mask: int
@@ -58,7 +71,7 @@ def build_views(csa: FqMatrix, payload_len: int, mask_len: int,
             f"payload {payload_len} + mask {mask_len} + 3B "
             f"{3 * byz_count} != matrix size {csa.rows}"
         )
-    return CorrectionViews(cinv=csa.inv(), payload=payload_len,
+    return CorrectionViews(csa=csa, cinv=csa.inv(), payload=payload_len,
                            mask=mask_len, B=byz_count)
 
 
@@ -102,27 +115,108 @@ def correction_vector(views: CorrectionViews, J, delta) -> tuple[int, ...]:
     return views.cinv.take_cols(J).matvec(delta)
 
 
+def syndromes(views: CorrectionViews, z) -> list[int]:
+    """Power sums S_j = sum_n w_n a_n^j Delta_n (j < 2B) of the deviation
+    behind the contaminated slots z, a_n the responsive alphas (column
+    payload + 1 of csa) and w_n = 1 / (prod_l csa[n, l] *
+    prod_{m != n} (a_n - a_m)) the dual column multipliers.
+
+    S = R^-1 z, and R^-1 = [w_n a_n^j] * (last 2B columns of csa) since the
+    rows [w_n a_n^j] vanish on the other columns. Those columns are the
+    powers off .. off+2B-1 of the alphas (off = nv - payload - 2B), so R^-1
+    is the Hankel matrix of h_e = sum_n w_n a_n^(off+e). As
+    1 / prod_l csa[n, l] = prod_l (f_l - a_n) and
+    sum_n a_n^k / prod_{m != n} (a_n - a_m) is the complete homogeneous
+    symmetric polynomial of degree k - nv + 1 in the alphas (0 in negative
+    degree), h_e is 0 for e < 2B - 1 and h_(2B-1+d) is the x^d coefficient
+    of prod_l (f_l x - 1) / prod_n (1 - a_n x). The f points are read back
+    as f_l = a_0 + 1 / csa[0, l]."""
+    csa, L, q = views.csa, views.payload, views.csa.q
+    B2 = 2 * views.B
+    alphas = csa.col(L + 1)
+    g = [1] + [0] * (B2 - 1)  # the series above, truncated after x^(2B-1)
+    for c in csa.row(0)[:L]:
+        f = alphas[0] + pow(c, -1, q)
+        for d in range(B2 - 1, 0, -1):
+            g[d] = (f * g[d - 1] - g[d]) % q
+        g[0] = -g[0] % q
+    for a in alphas:
+        for d in range(1, B2):
+            g[d] = (g[d] + a * g[d - 1]) % q
+    return [sum(g[j + k - B2 + 1] * z[k] for k in range(B2 - 1 - j, B2)) % q
+            for j in range(B2)]
+
+
+def _berlekamp_massey(seq, q: int) -> tuple[int, list[int]]:
+    """Shortest linear recurrence of seq over F_q: (L, [c_0 = 1, ..., c_L])
+    with sum_i c_i seq[n - i] = 0 for L <= n < len(seq)."""
+    conn, prev = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n, s in enumerate(seq):
+        d = s
+        for i in range(1, length + 1):
+            d += conn[i] * seq[n - i]
+        d %= q
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, q) % q
+        old = list(conn)
+        conn += [0] * (len(prev) + shift - len(conn))
+        for i, b in enumerate(prev):
+            conn[i + shift] = (conn[i + shift] - coef * b) % q
+        if 2 * length <= n:
+            length, prev, last, shift = n + 1 - length, old, d, 1
+        else:
+            shift += 1
+    return length, (conn + [0] * length)[: length + 1]
+
+
+def locate(views: CorrectionViews, z) -> tuple[int, ...] | None:
+    """Support of the unique deviation of weight at most B whose
+    contamination is z, or None when no such deviation exists."""
+    B, q = views.B, views.csa.q
+    if len(z) != 2 * B:
+        raise DimensionMismatch("contaminated block must have 2B entries")
+    if not any(x % q for x in z):
+        return ()
+    length, conn = _berlekamp_massey(syndromes(views, z), q)
+    if length > B:
+        return None
+    roots = []
+    for n, a in enumerate(views.csa.col(views.payload + 1)):
+        # the locator polynomial sum_i c_i x^(L-i) vanishes at the liars
+        acc = 0
+        for c in conn:
+            acc = (acc * a + c) % q
+        if acc == 0:
+            roots.append(n)
+    return tuple(roots) if len(roots) == length else None
+
+
 def search_joint(views_list, zblocks):
     """Lexicographically first support consistent in every instance.
 
     views_list / zblocks hold one entry per instance; the support candidate
     is shared across instances (the lying servers are the same). Returns
     (accepted J, per-instance estimated deltas); DecodeFailure when no
-    candidate of size B explains all contaminated blocks.
+    candidate of size B explains all contaminated blocks. J is the union of
+    the supports locate finds, padded with the lowest unused indices.
     """
     if not views_list:
         raise DimensionMismatch("need at least one instance")
     B = views_list[0].B
     nv = views_list[0].nv
-    for J in itertools.combinations(range(nv), B):
-        estimates = []
-        for views, z in zip(views_list, zblocks):
-            est = estimate_and_check(views, z, J)
-            if not est.consistent:
-                break
-            estimates.append(est)
-        else:
-            return tuple(J), [est.delta for est in estimates]
+    located = [locate(views, z) for views, z in zip(views_list, zblocks)]
+    if None not in located:
+        liars = set().union(*located)
+        if len(liars) <= B:
+            pad = [n for n in range(nv) if n not in liars][: B - len(liars)]
+            J = tuple(sorted(liars.union(pad)))
+            estimates = [estimate_and_check(views, z, J)
+                         for views, z in zip(views_list, zblocks)]
+            if all(est.consistent for est in estimates):
+                return J, [est.delta for est in estimates]
     raise DecodeFailure(
         f"no Byzantine candidate set of size {B} is consistent with the "
         f"received correction data"

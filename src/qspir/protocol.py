@@ -242,23 +242,35 @@ def _scheme_box(cfg, plan, pts, u, v, unresp) -> TransferBox:
     coefficients in its first vw outputs.
     """
     N, q = cfg.N, cfg.q
-    zero = FqMatrix.zeros(N, N, q)
     inst = [build_qcsa(N, plan.c[i], pts, scale) for i, scale in enumerate((u, v))]
-    # columns 0..N-1: instance 1, N..2N-1: instance 2, 2N..4N-1: unit columns
-    cols = (inst[0].hstack(zero).vstack(zero.hstack(inst[1]))
-            .hstack(FqMatrix.identity(2 * N, q)))
 
-    def degree_cols(lo, hi) -> list[int]:
-        """Indices of the powers lo[i]..hi[i]-1 of instance i, i = 0 then 1."""
-        return [i * N + plan.c[i] + d for i in (0, 1) for d in range(lo[i], hi[i])]
+    def column(i, j) -> list[int]:
+        """Column j of instance i, placed in rows i*N .. i*N + N - 1."""
+        col = [0] * (2 * N)
+        col[i * N : (i + 1) * N] = inst[i].col(j)
+        return col
+
+    def unit(i, n) -> list[int]:
+        col = [0] * (2 * N)
+        col[i * N + n] = 1
+        return col
+
+    def degree_cols(lo, hi) -> list[list[int]]:
+        """The powers lo[i]..hi[i]-1 of instance i, i = 0 then 1."""
+        return [column(i, plan.c[i] + d)
+                for i in (0, 1) for d in range(lo[i], hi[i])]
+
+    def stack(cols) -> FqMatrix:
+        return FqMatrix(2 * N, len(cols), q,
+                        tuple(col[r] for r in range(2 * N) for col in cols))
 
     mb = [plan.m[i] + plan.B for i in (0, 1)]
     drop = degree_cols((0, 0), plan.drop)
-    keep = ([i * N + l for i in (0, 1) for l in range(plan.c[i])]  # payload
+    keep = ([column(i, l) for i in (0, 1) for l in range(plan.c[i])]  # payload
             + degree_cols(plan.drop, mb)                          # kept masks
             + degree_cols(mb, [d + 2 * plan.B for d in mb])       # correction
-            + [2 * N + i * N + n for i in (0, 1) for n in unresp])  # erasures
-    return make_transfer(cols.take_cols(drop), cols.take_cols(keep))
+            + [unit(i, n) for i in (0, 1) for n in unresp])       # erasures
+    return make_transfer(stack(drop), stack(keep))
 
 
 # ======================================================================

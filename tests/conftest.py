@@ -1,12 +1,14 @@
-"""Shared test plumbing: the acceptance summary block and the sweep over
-the transfer boxes the protocol builds.
+"""Shared test plumbing: the acceptance summary block, the sweeps over the
+feasible Byzantine configs and the transfer boxes the protocol builds, and
+the exhaustive support walk that is the oracle for the Byzantine locator.
 
 Acceptance tests register one line each; the hook below prints the block
 after the run so the per-guarantee verdicts are visible without -s."""
 
 import itertools
 
-from qspir.errors import FieldTooSmall, Infeasible
+from qspir.corrector import estimate_and_check
+from qspir.errors import DecodeFailure, FieldTooSmall, Infeasible
 from qspir.field import FqMatrix
 from qspir.nsumbox import check_sso
 from qspir.plan import Model, SchemeConfig, plan_regime
@@ -24,6 +26,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def feasible_byzantine_configs(max_n: int, q: int = 257):
+    """Every feasible configuration with at least one Byzantine server,
+    N <= max_n, X, T, E <= 4, U <= 2 and B <= 3."""
+    for model in (Model.XBEUTSPIR_STATIC, Model.XBEUTSPIR_DYNAMIC):
+        for N in range(2, max_n + 1):
+            for X, T, E, U, B in itertools.product(range(5), range(5),
+                                                   range(5), range(3),
+                                                   range(1, 4)):
+                cfg = SchemeConfig(model=model, N=N, K=2, X=X, T=T, E=E,
+                                   U=U, B=B, q=q)
+                try:
+                    plan = plan_regime(cfg)
+                except Infeasible:
+                    continue
+                yield cfg, plan
+
+
+def exhaustive_search_joint(views_list, zblocks):
+    """Oracle for corrector.search_joint: walk every size-B support in
+    lexicographic order and return the first one consistent in every
+    instance, with its per-instance deltas; DecodeFailure when none is."""
+    B = views_list[0].B
+    for J in itertools.combinations(range(views_list[0].nv), B):
+        estimates = []
+        for views, z in zip(views_list, zblocks):
+            est = estimate_and_check(views, z, J)
+            if not est.consistent:
+                break
+            estimates.append(est)
+        else:
+            return J, [est.delta for est in estimates]
+    raise DecodeFailure(f"no support of size {B} is consistent")
 
 
 def scheme_boxes(max_N: int, q: int):

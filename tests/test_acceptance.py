@@ -9,14 +9,14 @@ import re
 import time
 from fractions import Fraction
 
-from conftest import box_defects, record_acceptance, scheme_boxes
+from conftest import (box_defects, feasible_byzantine_configs,
+                      record_acceptance, scheme_boxes)
 
 from qspir.audit import (DEFAULT_MUTANTS, audit_eavesdropper,
                          audit_masking_vs_user, audit_symmetric_privacy,
                          default_suite, default_suite_configs, run_audit)
 from qspir.corrector import (build_views, correction_vector, psi,
                              search_and_correct)
-from qspir.errors import Infeasible
 from qspir.field import FqMatrix
 from qspir.plan import Model, SchemeConfig, plan_regime
 from qspir.protocol import build_scheme, expected_dits, run_round
@@ -54,22 +54,6 @@ RETRIEVAL_GRID = (
 )
 
 TRIALS = 200
-
-
-def feasible_byzantine_configs(max_n: int):
-    for model in ("xbeutspir-static", "xbeutspir-dynamic"):
-        for N in range(2, max_n + 1):
-            for X in range(0, 5):
-                for T in range(0, 5):
-                    for E in range(0, 5):
-                        for U in range(0, 3):
-                            for B in range(1, 4):
-                                cfg = cfg_of(model, N, X, T, E, U, B)
-                                try:
-                                    plan = plan_regime(cfg)
-                                except Infeasible:
-                                    continue
-                                yield cfg, plan
 
 
 def test_exact_retrieval_every_regime():

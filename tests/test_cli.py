@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qspir.cli import main
 
@@ -223,6 +225,67 @@ def test_field_too_small_is_a_config_error_not_a_trial_failure(tmp_path,
     assert code == 2
     assert "distinct points" in err
     assert not out.exists() and stdout == ""
+
+
+def test_negative_trial_count_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--trials", "-3",
+                                "--out", str(out))
+    assert code == 2
+    assert "--trials" in err
+    assert not out.exists() and stdout == ""
+
+
+def test_too_many_unresponsive_servers_is_a_config_error(tmp_path, capsys):
+    # U = 0 reserves no erasure slot, so three unresponsive servers cannot
+    # be placed; that is the config's fault, not a failed round
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--model",
+                                "xbeutspir-static", "--N", "10", "--B", "1",
+                                "--unresponsive", "1,2,3", "--trials", "2",
+                                "--out", str(out))
+    assert code == 2
+    assert "--unresponsive" in err
+    assert not out.exists() and stdout == ""
+
+
+_COUNT_FLAGS = {"--N": (3, 12), "--K": (1, 3), "--X": (0, 2), "--T": (0, 2),
+                "--E": (0, 2), "--U": (0, 2), "--B": (0, 2)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=st.sampled_from(["xeutspir", "xbeutspir-static",
+                              "xbeutspir-dynamic"]),
+       counts=st.fixed_dictionaries(
+           {flag: st.integers(lo, hi)
+            for flag, (lo, hi) in _COUNT_FLAGS.items()}),
+       # one count, when drawn, takes any value from -1 to 12; the others
+       # stay in ranges where feasible configs are common
+       wild=st.one_of(st.none(), st.tuples(st.sampled_from(list(_COUNT_FLAGS)),
+                                           st.integers(-1, 12))),
+       trials=st.one_of(st.integers(0, 3), st.integers(-2, 3)),
+       q=st.one_of(st.sampled_from([13, 257]),
+                   st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 15])),
+       seed=st.integers(0, 3))
+def test_simulate_cli_contract(capsys, model, counts, wild, trials, q, seed):
+    """Every simulate input with random placements either runs, with a
+    CSV that reports the requested trial count, or is refused with exit 2
+    and a message; never exit 1 and never a traceback."""
+    if wild is not None:
+        counts = {**counts, wild[0]: wild[1]}
+    argv = ["simulate", "--model", model, "--trials", str(trials),
+            "--q", str(q), "--seed", str(seed)]
+    for flag, value in counts.items():
+        argv += [flag, str(value)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), (argv, out, err)
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert trials >= 0
+        assert next(csv.DictReader(io.StringIO(out)))["trials"] == str(trials)
+    else:
+        assert err.strip() and out == ""
 
 
 def test_selftest_passes(capsys):
