@@ -455,7 +455,7 @@ def audit_storage_security(cfg: SchemeConfig, mutation: str | None = None,
     q, K, H, N = cfg.q, cfg.K, cfg.H, cfg.N
     name = "storage-security"
     if H == 0:
-        return AuditReport(name, True, "enumeration", 0,
+        return AuditReport(name, True, "n/a", 0,
                            "no communicating or Byzantine servers; empty view")
     pts = canonical_points(N, 1, q)
     names = [("w", k) for k in range(K)]
@@ -512,7 +512,7 @@ def audit_query_privacy(cfg: SchemeConfig, mutation: str | None = None,
     q, K, N, M = cfg.q, cfg.K, cfg.N, cfg.M
     name = "query-privacy"
     if M == 0:
-        return AuditReport(name, True, "enumeration", 0,
+        return AuditReport(name, True, "n/a", 0,
                            "no collusion or uplink taps; empty view")
     pts = scheme_points(cfg, plan)
     sets = 1 if (plan.classical or plan.shared_queries) else 2
@@ -602,7 +602,7 @@ def audit_masking_vs_byzantine(cfg: SchemeConfig, mutation: str | None = None,
     q, N, B = cfg.q, cfg.N, cfg.B
     name = "masking-vs-byzantine"
     if B == 0:
-        return AuditReport(name, True, "enumeration", 0,
+        return AuditReport(name, True, "n/a", 0,
                            "no Byzantine servers; empty view")
     plan, m_pair, _ = _mask_shape(cfg)
     alphas = _mask_alphas(cfg, plan)
@@ -682,7 +682,7 @@ def audit_masking_vs_user(cfg: SchemeConfig, mutation: str | None = None,
         )
     exposure = mask_exposure(m_pair, drop_pair, B, mutation)
     if B == 0:
-        return AuditReport(name, True, "enumeration", 0,
+        return AuditReport(name, True, "n/a", 0,
                            "no extra masks and no coalition; empty view",
                            exposure=exposure)
     alphas = _mask_alphas(cfg, plan)
@@ -909,7 +909,7 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
 
     if eaves_up is None and eaves_down is None:
         if E == 0 and not byzantine:
-            return AuditReport(name, True, "enumeration", 0,
+            return AuditReport(name, True, "n/a", 0,
                                "no tapped links; empty view")
         placements = [(scheme.responsive[:E], scheme.responsive[:E], "static")]
         if not static_model and len(scheme.responsive) >= 2 * E:

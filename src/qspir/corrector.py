@@ -75,11 +75,6 @@ def build_views(csa: FqMatrix, payload_len: int, mask_len: int,
                            mask=mask_len, B=byz_count)
 
 
-def d_rows(views: CorrectionViews, a: int, J) -> FqMatrix:
-    """D(a, J): first a rows of Cinv restricted to columns J."""
-    return views.cinv.take_rows(range(a)).take_cols(J)
-
-
 def phi(views: CorrectionViews, J) -> FqMatrix:
     nv, B = views.nv, views.B
     return views.cinv.take_rows(range(nv - 2 * B, nv - B)).take_cols(J)

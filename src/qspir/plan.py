@@ -134,10 +134,6 @@ class RegimePlan:
                 raise Infeasible("payload + kept width vw + 4B + 2U must equal N")
 
     @property
-    def payload_total(self) -> int:
-        return self.L1 + self.L2
-
-    @property
     def message_slices(self) -> tuple[range, range]:
         """Which W dit-columns each instance carries."""
         return range(0, self.L1), range(self.L1, self.L1 + self.L2)

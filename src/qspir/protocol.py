@@ -16,10 +16,17 @@ Decoding reads the payload and kept-mask coefficients straight off the box
 output, discards erasure slots, and, when B > 0, delegates to the corrector
 to locate and cancel Byzantine contamination before reading off the
 retrieved dits.
+
+Everything fixed by (cfg, plan, unresponsive placement) -- points,
+scalings, transfer box, responsive interpolation matrices and the
+corrector's views -- is built once by `build_scheme` and kept in a bounded
+LRU cache. Cached schemes are immutable and shared between rounds and
+transcripts; only the per-round randomness is generated afresh.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import corrector as corr_mod
@@ -108,6 +115,7 @@ class BuiltScheme:
     unresponsive: tuple[int, ...]
     box: TransferBox | None
     csa_resp: tuple          # per-instance responsive interpolation matrix
+    views: tuple             # per-instance CorrectionViews when B > 0, else ()
 
 
 @dataclass(frozen=True)
@@ -201,10 +209,13 @@ def canonical_u(cfg: SchemeConfig) -> tuple[int, ...]:
 
 
 def build_scheme(cfg: SchemeConfig, plan: RegimePlan, unresponsive) -> BuiltScheme:
-    """Assemble points, scalings, transfer box and interpolation matrices
-    for one placement of unresponsive servers (0-based indices)."""
+    """Points, scalings, transfer box, interpolation matrices and correction
+    views for one placement of unresponsive servers (0-based indices).
+
+    Placements with fewer than U servers are padded, so equal padded sets
+    share one scheme. The result comes from a bounded LRU cache and is
+    shared between callers; it is immutable."""
     pts = scheme_points(cfg, plan)
-    q = cfg.q
     unresp = tuple(sorted(unresponsive))
     if len(unresp) > cfg.U:
         raise DimensionMismatch("more unresponsive servers than the plan allows")
@@ -213,20 +224,34 @@ def build_scheme(cfg: SchemeConfig, plan: RegimePlan, unresponsive) -> BuiltSche
         # the highest-index servers not already chosen
         pad = [n for n in range(cfg.N - 1, -1, -1) if n not in unresp]
         unresp = tuple(sorted(set(unresp) | set(pad[: cfg.U - len(unresp)])))
+    return _cached_scheme(cfg, plan, unresp, pts)
+
+
+# 256 schemes cover the under 200 placements the retrieval grid reaches
+@functools.lru_cache(maxsize=256)
+def _cached_scheme(cfg: SchemeConfig, plan: RegimePlan, unresp: tuple,
+                   pts: Points) -> BuiltScheme:
+    """The build behind build_scheme's cache, for a validated, padded
+    placement; pts is a function of (cfg, plan), so it adds nothing to the
+    key."""
     responsive = tuple(n for n in range(cfg.N) if n not in unresp)
     u = canonical_u(cfg)
     v = dual_scaling(u, pts)
     rpts = pts.restrict(responsive)
     nv = len(responsive)
-    if plan.classical:
-        csa0 = build_csa(nv, plan.c[0], rpts)
-        return BuiltScheme(cfg, plan, pts, u, v, responsive, unresp,
-                           box=None, csa_resp=(csa0, None))
-    box = _scheme_box(cfg, plan, pts, u, v, unresp)
+    box = None if plan.classical else _scheme_box(cfg, plan, pts, u, v, unresp)
     csa0 = build_csa(nv, plan.c[0], rpts)
-    csa1 = csa0 if plan.c[1] == plan.c[0] else build_csa(nv, plan.c[1], rpts)
+    if plan.classical:
+        csa_resp = (csa0, None)
+    else:
+        csa1 = csa0 if plan.c[1] == plan.c[0] else build_csa(nv, plan.c[1], rpts)
+        csa_resp = (csa0, csa1)
+    views = () if plan.B == 0 else tuple(
+        corr_mod.build_views(csa_resp[i], plan.c[i], plan.m[i], plan.B)
+        for i in ((0,) if plan.classical else (0, 1))
+    )
     return BuiltScheme(cfg, plan, pts, u, v, responsive, unresp,
-                       box=box, csa_resp=(csa0, csa1))
+                       box=box, csa_resp=csa_resp, views=views)
 
 
 def _scheme_box(cfg, plan, pts, u, v, unresp) -> TransferBox:
@@ -426,13 +451,10 @@ def decode(scheme: BuiltScheme, received) -> DecodedResult:
             received[vw : vw + 2 * B],
             received[vw + 2 * B : vw + 4 * B],
         ]
-        views = [
-            corr_mod.build_views(scheme.csa_resp[i], plan.c[i], plan.m[i], B)
-            for i in (0, 1)
-        ]
-        accepted, estimates = corr_mod.search_joint(views, zblocks)
+        accepted, estimates = corr_mod.search_joint(scheme.views, zblocks)
         for i in (0, 1):
-            full = corr_mod.correction_vector(views[i], accepted, estimates[i])
+            full = corr_mod.correction_vector(scheme.views[i], accepted,
+                                              estimates[i])
             # payload coordinates then the kept masked-degree coordinates
             for l in range(plan.c[i]):
                 p_out[i][l] = (p_out[i][l] - full[l]) % q
@@ -454,10 +476,8 @@ def _decode_classical(scheme: BuiltScheme, answers) -> DecodedResult:
     accepted = None
     if B > 0:
         zblock = tuple(x[nv - 2 * B :])
-        views = corr_mod.build_views(scheme.csa_resp[0], plan.c[0], plan.m[0], B)
-        accepted, est = corr_mod.search_joint([views], [zblock])
-        est = est[0]
-        full = corr_mod.correction_vector(views, accepted, est)
+        accepted, est = corr_mod.search_joint(scheme.views, [zblock])
+        full = corr_mod.correction_vector(scheme.views[0], accepted, est[0])
         x = [(xi - fi) % q for xi, fi in zip(x, full)]
     w = tuple(x[plan.dummies : plan.c[0]])
     inter = tuple(x[plan.c[0] : plan.c[0] + plan.m[0]])

@@ -195,10 +195,10 @@ def test_broken_flag_flips_exactly_one_lemma():
 def test_trivial_threat_classes_pass_without_enumeration():
     no_x = cfg_of("xeutspir", 3, 0, 1, 0, 0, 0, 5)
     rep = audit_storage_security(no_x)
-    assert rep.passed and rep.states == 0
+    assert (rep.passed, rep.mode, rep.states) == (True, "n/a", 0)
     no_eaves = cfg_of("xeutspir", 3, 0, 1, 0, 0, 0, 5)
     rep = audit_eavesdropper(no_eaves)
-    assert rep.passed and rep.states == 0
+    assert (rep.passed, rep.mode, rep.states) == (True, "n/a", 0)
 
 
 def test_run_audit_rejects_unknown_lemma():
@@ -247,7 +247,7 @@ def test_user_masking_refuses_classical_byzantine():
 def test_user_masking_trivial_without_byzantine():
     cfg = cfg_of("xeutspir", 6, 1, 1, 0, 3, 0, 7)
     rep = audit_masking_vs_user(cfg)
-    assert rep.passed and rep.states == 0
+    assert (rep.passed, rep.mode, rep.states) == (True, "n/a", 0)
     assert rep.exposure is not None
 
 

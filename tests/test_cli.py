@@ -164,9 +164,24 @@ def test_audit_single_config_runs_each_lemma(capsys):
     assert "eavesdropper" in out
 
 
+def test_audit_vacuous_lemmas_print_na(capsys):
+    """With no communicating, Byzantine or tapping servers the coalition
+    views are empty: those lemmas print n/a, not a pass over zero states."""
+    code, out, _ = run_cli(capsys, "audit", "--model", "xeutspir", "--N", "3",
+                           "--X", "0", "--T", "1", "--E", "0", "--U", "0",
+                           "--q", "5")
+    assert code == 0
+    status = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    for lemma in ("storage-security", "masking-vs-byzantine",
+                  "masking-vs-user", "eavesdropper"):
+        assert status[lemma] == "n/a", lemma
+    assert status["query-privacy"] == "pass"
+
+
 def test_audit_reports_inapplicable_lemma_and_goes_on(tmp_path, capsys):
-    """masking-vs-user does not apply to a classical Byzantine plan; the
-    audit says n/a there and still runs the lemmas after it."""
+    """masking-vs-user does not apply to a classical Byzantine plan, and
+    with T = E = 0 query privacy and the eavesdropper lemma have empty
+    views; the audit says n/a there and still runs the lemmas after them."""
     out_path = tmp_path / "audit.csv"
     code, _, _ = run_cli(capsys, "audit", "--model", "xbeutspir-static",
                          "--N", "6", "--X", "1", "--T", "0", "--U", "1",
@@ -175,9 +190,9 @@ def test_audit_reports_inapplicable_lemma_and_goes_on(tmp_path, capsys):
     status = {r["lemma"]: r["status"] for r in rows}
     assert code == 0
     assert status == {
-        "storage-security": "pass", "query-privacy": "pass",
+        "storage-security": "pass", "query-privacy": "n/a",
         "masking-vs-byzantine": "pass", "masking-vs-user": "n/a",
-        "symmetric-privacy": "pass", "eavesdropper": "pass"}
+        "symmetric-privacy": "pass", "eavesdropper": "n/a"}
 
 
 # ---------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from conftest import exhaustive_search_joint, feasible_byzantine_configs
 
 from qspir.codes import build_csa
-from qspir.corrector import (build_views, correction_vector, d_rows,
+from qspir.corrector import (build_views, correction_vector,
                              estimate_and_check, phi, psi,
                              search_and_correct, search_joint, syndromes)
 from qspir.errors import DecodeFailure, DimensionMismatch
@@ -43,8 +43,6 @@ def test_slice_shapes():
     J = (2,)
     assert psi(v, J).rows == plan.B and psi(v, J).cols == 1
     assert phi(v, J).rows == plan.B
-    top = d_rows(v, 3, J)
-    assert top.rows == 3 and top.cols == 1
 
 
 # ---------------------------------------------------------

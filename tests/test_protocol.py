@@ -1,9 +1,14 @@
+import itertools
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_acceptance import RETRIEVAL_GRID
 
-from qspir.errors import Infeasible
+from qspir import protocol
+from qspir.errors import DimensionMismatch, FieldTooSmall, Infeasible
 from qspir.plan import Model, SchemeConfig, plan_regime
-from qspir.protocol import expected_dits, run_round
+from qspir.protocol import build_scheme, expected_dits, run_round
 from qspir.rng import Stream
 from qspir.threats import BUILTIN_STRATEGIES, ThreatConfig
 
@@ -154,3 +159,82 @@ def test_feasible_configs_decode_under_every_strategy(model, N, X, T, E, U,
                                      strategy=strategy)
         tr = run_round(cfg, seed, 0, threat=threat)
         assert tr.result.w_theta == expected_dits(tr.W, tr.theta)
+
+
+# ---------------------------------------------------------
+# the scheme cache
+# ---------------------------------------------------------
+
+def scheme_matrices(scheme) -> tuple:
+    box = scheme.box
+    return ((box.g, box.h, box.gprime) if box else (),
+            scheme.csa_resp,
+            tuple(v.cinv for v in scheme.views))
+
+
+def test_cached_scheme_equals_a_fresh_build():
+    for model, regime, *counts in RETRIEVAL_GRID:
+        cfg = cfg_of(model, *counts)
+        plan = plan_regime(cfg)
+        assert plan.regime == regime
+        placements = list(itertools.combinations(range(cfg.N), cfg.U))
+        warm = {}
+        for unresp in placements:
+            warm[unresp] = build_scheme(cfg, plan, unresp)
+            assert build_scheme(cfg, plan, unresp) is warm[unresp]
+            assert len(warm[unresp].views) == (
+                0 if plan.B == 0 else 1 if plan.classical else 2)
+        protocol._cached_scheme.cache_clear()
+        for unresp in placements:
+            fresh = build_scheme(cfg, plan, unresp)
+            assert fresh is not warm[unresp]
+            assert scheme_matrices(fresh) == scheme_matrices(warm[unresp])
+
+
+def test_padded_placements_share_one_scheme():
+    cfg = cfg_of("xbeutspir-static", 10, 1, 1, 0, 2, 1)
+    plan = plan_regime(cfg)
+    padded = build_scheme(cfg, plan, (8, 9))
+    assert build_scheme(cfg, plan, ()) is padded
+    assert build_scheme(cfg, plan, (9,)) is padded
+    assert padded.unresponsive == (8, 9)
+
+
+def test_rounds_are_identical_cold_and_warm():
+    cfg = cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1)
+    for strategy in BUILTIN_STRATEGIES:
+        threat = ThreatConfig.make(cfg, byzantine=(3,), unresponsive=(6,),
+                                   strategy=strategy)
+        protocol._cached_scheme.cache_clear()
+        cold = run_round(cfg, seed=61, trial=0, threat=threat)
+        warm = run_round(cfg, seed=61, trial=0, threat=threat)
+        assert warm.scheme is cold.scheme
+        assert warm.y == cold.y
+        assert warm.result.w_theta == cold.result.w_theta
+        assert warm.result.accepted_set == cold.result.accepted_set
+
+
+def test_bad_inputs_raise_again_and_are_not_cached():
+    cfg = cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1)
+    plan = plan_regime(cfg)
+    small = cfg_of("xeutspir", 8, 3, 2, 1, 1, 0, q=5)
+    small_plan = plan_regime(small)
+    protocol._cached_scheme.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch):
+            build_scheme(cfg, plan, (0, 1))
+        with pytest.raises(FieldTooSmall):
+            build_scheme(small, small_plan, ())
+    assert protocol._cached_scheme.cache_info().currsize == 0
+
+
+def test_scheme_cache_is_bounded():
+    cfg = cfg_of("xeutspir", 12, 1, 1, 1, 4, 0)
+    plan = plan_regime(cfg)
+    assert plan.classical
+    maxsize = protocol._cached_scheme.cache_info().maxsize
+    placements = list(itertools.combinations(range(cfg.N), cfg.U))
+    assert len(placements) > maxsize
+    for unresp in placements:
+        build_scheme(cfg, plan, unresp)
+        assert protocol._cached_scheme.cache_info().currsize <= maxsize
