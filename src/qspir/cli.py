@@ -259,8 +259,11 @@ def cmd_simulate(args) -> int:
     jobs = [(cfg, args.seed, t, args.strategy, fixed_sets)
             for t in range(args.trials)]
     if args.workers > 1:
+        # one chunk is pickled as a whole, so its trials share one config
+        # object and with it the worker's cached schemes
+        chunk = max(1, len(jobs) // (4 * args.workers))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_simulate_trial, jobs))
+            results = list(pool.map(_simulate_trial, jobs, chunksize=chunk))
     else:
         results = [_simulate_trial(job) for job in jobs]
 

@@ -20,8 +20,9 @@ retrieved dits.
 Everything fixed by (cfg, plan, unresponsive placement) -- points,
 scalings, transfer box, responsive interpolation matrices and the
 corrector's views -- is built once by `build_scheme` and kept in a bounded
-LRU cache. Cached schemes are immutable and shared between rounds and
-transcripts; only the per-round randomness is generated afresh.
+LRU cache, per config object. Cached schemes are immutable and shared
+between rounds and transcripts; only the per-round randomness is generated
+afresh.
 """
 
 from __future__ import annotations
@@ -214,8 +215,11 @@ def build_scheme(cfg: SchemeConfig, plan: RegimePlan, unresponsive) -> BuiltSche
 
     Placements with fewer than U servers are padded, so equal padded sets
     share one scheme. The result comes from a bounded LRU cache and is
-    shared between callers; it is immutable."""
-    pts = scheme_points(cfg, plan)
+    shared between callers; it is immutable. Entries belong to the config
+    object passed in: a caller that keeps its config across rounds builds
+    each placement once, while an equal config made elsewhere starts cold,
+    so one caller's rounds never change what another's cost."""
+    scheme_points(cfg, plan)  # a field too small fails before the placement
     unresp = tuple(sorted(unresponsive))
     if len(unresp) > cfg.U:
         raise DimensionMismatch("more unresponsive servers than the plan allows")
@@ -224,16 +228,18 @@ def build_scheme(cfg: SchemeConfig, plan: RegimePlan, unresponsive) -> BuiltSche
         # the highest-index servers not already chosen
         pad = [n for n in range(cfg.N - 1, -1, -1) if n not in unresp]
         unresp = tuple(sorted(set(unresp) | set(pad[: cfg.U - len(unresp)])))
-    return _cached_scheme(cfg, plan, unresp, pts)
+    return _cached_scheme(id(cfg), cfg, plan, unresp)
 
 
 # 256 schemes cover the under 200 placements the retrieval grid reaches
 @functools.lru_cache(maxsize=256)
-def _cached_scheme(cfg: SchemeConfig, plan: RegimePlan, unresp: tuple,
-                   pts: Points) -> BuiltScheme:
+def _cached_scheme(owner: int, cfg: SchemeConfig, plan: RegimePlan,
+                   unresp: tuple) -> BuiltScheme:
     """The build behind build_scheme's cache, for a validated, padded
-    placement; pts is a function of (cfg, plan), so it adds nothing to the
-    key."""
+    placement. `owner` is id(cfg); the key also holds cfg itself, which
+    keeps the object alive, so no other config can take its id while the
+    entry lives."""
+    pts = scheme_points(cfg, plan)
     responsive = tuple(n for n in range(cfg.N) if n not in unresp)
     u = canonical_u(cfg)
     v = dual_scaling(u, pts)

@@ -1,6 +1,7 @@
-"""Shared test plumbing: the acceptance summary block, the sweeps over the
-feasible Byzantine configs and the transfer boxes the protocol builds, and
-the exhaustive support walk that is the oracle for the Byzantine locator.
+"""Shared test plumbing: the acceptance summary block, the retrieval grid,
+the sweeps over the feasible Byzantine configs and the transfer boxes the
+protocol builds, and the exhaustive support walk that is the oracle for the
+Byzantine locator.
 
 Acceptance tests register one line each; the hook below prints the block
 after the run so the per-guarantee verdicts are visible without -s."""
@@ -13,6 +14,23 @@ from qspir.field import FqMatrix
 from qspir.nsumbox import check_sso
 from qspir.plan import Model, SchemeConfig, plan_regime
 from qspir.protocol import build_scheme
+
+# every (model, regime) pair reachable with N <= 12: (model, regime, N, X,
+# T, E, U, B)
+RETRIEVAL_GRID = (
+    ("xeutspir", 1, 8, 3, 2, 1, 1, 0),
+    ("xeutspir", 2, 8, 2, 2, 1, 1, 0),
+    ("xeutspir", 3, 10, 2, 2, 1, 1, 0),
+    ("xeutspir", 4, 8, 1, 1, 1, 3, 0),
+    ("xbeutspir-static", 1, 10, 2, 2, 0, 1, 1),
+    ("xbeutspir-static", 2, 10, 2, 2, 1, 0, 1),
+    ("xbeutspir-static", 3, 12, 1, 2, 0, 0, 1),
+    ("xbeutspir-static", 4, 10, 1, 1, 0, 2, 1),
+    ("xbeutspir-dynamic", 1, 12, 3, 3, 1, 0, 1),
+    ("xbeutspir-dynamic", 2, 10, 2, 2, 1, 0, 1),
+    ("xbeutspir-dynamic", 3, 12, 1, 2, 0, 0, 1),
+    ("xbeutspir-dynamic", 4, 10, 1, 1, 0, 2, 1),
+)
 
 _acceptance_lines: list = []
 

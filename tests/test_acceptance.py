@@ -9,7 +9,7 @@ import re
 import time
 from fractions import Fraction
 
-from conftest import (box_defects, feasible_byzantine_configs,
+from conftest import (RETRIEVAL_GRID, box_defects, feasible_byzantine_configs,
                       record_acceptance, scheme_boxes)
 
 from qspir.audit import (DEFAULT_MUTANTS, audit_eavesdropper,
@@ -35,23 +35,6 @@ def cfg_of(model, N, X, T, E, U, B, q=257):
     return SchemeConfig(model=Model.parse(model), N=N, K=2, X=X, T=T, E=E,
                         U=U, B=B, q=q)
 
-
-# every (model, regime) pair reachable with N <= 12: (model, regime, N, X,
-# T, E, U, B)
-RETRIEVAL_GRID = (
-    ("xeutspir", 1, 8, 3, 2, 1, 1, 0),
-    ("xeutspir", 2, 8, 2, 2, 1, 1, 0),
-    ("xeutspir", 3, 10, 2, 2, 1, 1, 0),
-    ("xeutspir", 4, 8, 1, 1, 1, 3, 0),
-    ("xbeutspir-static", 1, 10, 2, 2, 0, 1, 1),
-    ("xbeutspir-static", 2, 10, 2, 2, 1, 0, 1),
-    ("xbeutspir-static", 3, 12, 1, 2, 0, 0, 1),
-    ("xbeutspir-static", 4, 10, 1, 1, 0, 2, 1),
-    ("xbeutspir-dynamic", 1, 12, 3, 3, 1, 0, 1),
-    ("xbeutspir-dynamic", 2, 10, 2, 2, 1, 0, 1),
-    ("xbeutspir-dynamic", 3, 12, 1, 2, 0, 0, 1),
-    ("xbeutspir-dynamic", 4, 10, 1, 1, 0, 2, 1),
-)
 
 TRIALS = 200
 

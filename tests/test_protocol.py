@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
+from conftest import RETRIEVAL_GRID
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_acceptance import RETRIEVAL_GRID
 
 from qspir import protocol
 from qspir.errors import DimensionMismatch, FieldTooSmall, Infeasible
@@ -198,6 +198,21 @@ def test_padded_placements_share_one_scheme():
     assert build_scheme(cfg, plan, ()) is padded
     assert build_scheme(cfg, plan, (9,)) is padded
     assert padded.unresponsive == (8, 9)
+
+
+def test_equal_configs_do_not_share_schemes():
+    """Entries belong to the config object: an equal config made elsewhere
+    builds its own scheme, so one caller's rounds leave another's costs and
+    kernel counts as they were."""
+    mine = cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1)
+    theirs = cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1)
+    assert mine == theirs and mine is not theirs
+    plan = plan_regime(mine)
+    scheme = build_scheme(mine, plan, (4,))
+    assert build_scheme(mine, plan, (4,)) is scheme
+    other = build_scheme(theirs, plan, (4,))
+    assert other is not scheme
+    assert scheme_matrices(other) == scheme_matrices(scheme)
 
 
 def test_rounds_are_identical_cold_and_warm():
