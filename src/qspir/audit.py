@@ -1,10 +1,18 @@
 """Executable security lemmas.
 
 Each audit restates one of the scheme's security claims as an exact
-independence statement and decides it by exhaustive enumeration of the
-relevant randomness at micro parameters: build the joint distribution of
-(secret, adversary view) over every assignment of the enumerated variables,
-then test factorisation with integer arithmetic (see mi.py).
+independence statement between a secret and an adversary view, and decides
+it by exhaustive enumeration of the relevant randomness at micro parameters.
+The secret is always uniform. Its digits go last on the grid (the retrieval
+index theta is an outer loop), so each secret value owns a contiguous block
+of states in which every other digit takes every value equally often. The
+view is then independent of the secret iff every block holds the same
+multiset of view codes. mi.BlockStream checks this while the states are
+walked chunk by chunk: it sorts each block once, compares it with the
+first by integer equality and holds only those two blocks. No joint table
+is built for an audit that passes. When a block differs, a second pass
+collects (secret, view) codes and mi_exact sizes the leak in bits, so a
+failed audit reports the same figure as a direct joint-table test.
 
 The view is never re-derived here. Storage rows, query rows, masking
 shares and honest answers come from the per-round formulas in protocol.py,
@@ -34,13 +42,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .codes import canonical_points
-from .errors import DimensionMismatch, Infeasible, SetTooLarge
+from .errors import (BudgetExceeded, DimensionMismatch, Infeasible,
+                     SetTooLarge)
 from .field import FqMatrix, fe_inv
-from .mi import AuditBudget, JointDistribution, mi_exact, rank_certificate
+from .mi import (AuditBudget, BlockStream, JointDistribution, MIResult,
+                 mi_exact, rank_certificate)
 from .plan import Model, RegimePlan, SchemeConfig, plan_regime
 from .protocol import (BuiltScheme, build_scheme, honest_answer, mask_share,
                        powers, query_row, scheme_points, storage_row)
@@ -86,34 +97,86 @@ class AuditReport:
 # ======================================================================
 
 
+CHUNK_STATES = 1 << 16
+
+
 class StateGrid:
     """Exhaustive enumeration of named q-ary digits.
 
     Each name is one uniform digit in [0, q); the state space is the full
-    product, walked in chunks."""
+    product, walked in chunks of consecutive state indices.  The ``secret``
+    names go last, with the highest weights, so each secret value owns a
+    contiguous block of ``block`` states.  The default chunk is the largest
+    power of q up to CHUNK_STATES (and at least q), so a chunk lies inside
+    one block or holds whole blocks."""
 
     def __init__(self, q: int, names, budget: AuditBudget | None = None,
-                 chunk_size: int = 1 << 20):
-        names = tuple(names)
-        if len(set(names)) != len(names):
+                 chunk_size: int | None = None, secret=()):
+        names, secret = tuple(names), tuple(secret)
+        if len(set(names)) != len(names) or len(set(secret)) != len(secret):
             raise DimensionMismatch("duplicate digit names on the grid")
+        if not set(secret) <= set(names):
+            raise DimensionMismatch("secret digits must be grid digits")
+        names = tuple(n for n in names if n not in set(secret)) + secret
         self.q = q
         self.names = names
         self.states = q ** len(names)
         (budget or AuditBudget()).admit(self.states)
+        self.block = q ** (len(names) - len(secret))
         self._weights = {name: q ** p for p, name in enumerate(names)}
+        if chunk_size is None:
+            chunk_size = q
+            while chunk_size * q <= CHUNK_STATES:
+                chunk_size *= q
         self.chunk_size = chunk_size
+        power = 1
+        while power < chunk_size:
+            power *= q
+        self._aligned = power == chunk_size
+        self._patterns = {}
 
     def __contains__(self, name) -> bool:
         return name in self._weights
 
     def chunks(self):
+        """Ranges of consecutive state indices that cover the grid."""
         for start in range(0, self.states, self.chunk_size):
-            stop = min(start + self.chunk_size, self.states)
-            yield np.arange(start, stop, dtype=np.int64)
+            yield range(start, min(start + self.chunk_size, self.states))
 
-    def digit(self, idx: np.ndarray, name) -> np.ndarray:
+    def digit(self, idx, name) -> np.ndarray:
+        if isinstance(idx, range):
+            idx = np.arange(idx.start, idx.stop, dtype=np.int64)
         return (idx // self._weights[name]) % self.q
+
+    def reader(self, idx):
+        """Digit reader over the states ``idx``: each digit is computed
+        once, and names absent from the grid read as zero.
+
+        On a chunk from ``chunks()`` with a power-of-q chunk size, a digit
+        whose weight is below the chunk size runs through the same pattern
+        in every chunk, which is computed once per grid, and a digit whose
+        weight is at least the chunk size is one int over the chunk."""
+        cache = {}
+        aligned = isinstance(idx, range) and self._aligned
+
+        def digit(name):
+            value = cache.get(name)
+            if value is None:
+                weight = self._weights.get(name)
+                if weight is None:
+                    value = 0
+                elif not aligned:
+                    value = self.digit(idx, name)
+                elif weight >= self.chunk_size:
+                    value = idx.start // weight % self.q
+                else:
+                    key = (weight, len(idx))
+                    if key not in self._patterns:
+                        self._patterns[key] = self.digit(range(len(idx)), name)
+                    value = self._patterns[key]
+                cache[name] = value
+            return value
+        return digit
 
 
 def _pack(values, q: int, count: int) -> np.ndarray:
@@ -128,9 +191,21 @@ def _pack(values, q: int, count: int) -> np.ndarray:
             _, code = np.unique(code, return_inverse=True)
             code = code.astype(np.int64)
             span = int(code.max()) + 1 if code.size else 1
-        code = code * q + (v % q if isinstance(v, np.ndarray) else int(v) % q)
+        code *= q
+        code += v % q if isinstance(v, np.ndarray) else int(v) % q
         span *= q
     return code
+
+
+def _view_code(values, q: int, count: int) -> np.ndarray:
+    """View code per state that means the same in every chunk: _pack's
+    radix-q code, refused when _pack would have to compact it (a compacted
+    code is a rank within its own chunk)."""
+    values = list(values)
+    if q ** max(len(values) - 1, 0) > (1 << 55) // max(q, 2):
+        raise BudgetExceeded("a view of %d values over F_%d does not pack "
+                             "into one int64 code" % (len(values), q))
+    return _pack(values, q, count)
 
 
 def _noise_vectors(digit, depth: int, K: int, drop_top: bool) -> list:
@@ -145,6 +220,36 @@ def _noise_vectors(digit, depth: int, K: int, drop_top: bool) -> list:
 def _mi_pair(secret: np.ndarray, view: np.ndarray, q: int):
     jd = JointDistribution.from_columns(("secret", "view"), (secret, view))
     return mi_exact(jd, (("secret",), ("view",)), base=q)
+
+
+def _decide(stream, blocks: BlockStream, q: int) -> MIResult:
+    """Exact independence of a view from a uniform secret.
+
+    ``stream()`` yields (secret, view) per chunk, in state order, each
+    secret value owning ``blocks.block`` consecutive states: ``view`` is
+    the chunk's view code and ``secret()`` computes its secret code.  The
+    block test decides.  Only when a block differs are the secret codes
+    computed, for mi_exact to size the leak: the chunks already read are
+    reused while they hold at most CHUNK_STATES states, and read again
+    otherwise."""
+    chunks = stream()
+    held, states = [], 0
+    for secret, view in chunks:
+        states += view.shape[0]
+        if states > CHUNK_STATES:
+            held = None
+        elif held is not None:
+            held.append((secret, view))
+        if not blocks.feed(view):
+            break
+    else:
+        if blocks.complete:
+            return MIResult(zero=True, bits=0.0, states=states)
+    if held is None:
+        held, chunks = [], stream()
+    secret, view = zip(*[(secret(), view) for secret, view
+                         in itertools.chain(held, chunks)])
+    return _mi_pair(np.concatenate(secret), np.concatenate(view), q)
 
 
 # ======================================================================
@@ -209,24 +314,19 @@ class RoundFormulas:
         self.byz = tuple(sorted(byzantine))
         self.strategy = strategy
         self.mutation = mutation
-        self._grid = None
-        self._idx = None
+        self.digit = None
         self._cache = {}
         s0, s1 = scheme.plan.message_slices
         self._slices = (tuple(s0), tuple(s1))
 
     # ---- grid binding -------------------------------------------------
 
-    def bind(self, grid: StateGrid, idx: np.ndarray) -> "RoundFormulas":
-        self._grid = grid
-        self._idx = idx
+    def bind(self, grid: StateGrid, idx) -> "RoundFormulas":
+        """Evaluate on the states ``idx``, a chunk from ``grid.chunks()`` or
+        an index array; ``digit(name)`` then reads a grid digit over them."""
+        self.digit = grid.reader(idx)
         self._cache = {}
         return self
-
-    def _d(self, name):
-        if name in self._grid:
-            return self._grid.digit(self._idx, name)
-        return 0
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -238,12 +338,12 @@ class RoundFormulas:
     def payload(self, i: int, l: int) -> list:
         K, dummies = self.cfg.K, self.plan.dummies
         if i == 0 and l < dummies:
-            return [self._d(("dum", l, k)) for k in range(K)]
+            return [self.digit(("dum", l, k)) for k in range(K)]
         d = self._slices[i][l - dummies if i == 0 else l]
-        return [self._d(("w", k, d)) for k in range(K)]
+        return [self.digit(("w", k, d)) for k in range(K)]
 
     def _noise(self, kind: str, i: int, l: int, depth: int, mutant: str):
-        return _noise_vectors(lambda j, k: self._d((kind, i, l, j, k)),
+        return _noise_vectors(lambda j, k: self.digit((kind, i, l, j, k)),
                               depth, self.cfg.K, self.mutation == mutant)
 
     def _x(self, n: int, l: int) -> int:
@@ -275,8 +375,8 @@ class RoundFormulas:
         plan = self.plan
         return self._memo(("z", i, n), lambda: mask_share(
             self.scheme.pts.alphas[n],
-            [self._d(("zp", i, j)) for j in range(1, plan.m[i] + 1)],
-            [self._d(("rp", i, j)) for j in range(1, plan.B + 1)],
+            [self.digit(("zp", i, j)) for j in range(1, plan.m[i] + 1)],
+            [self.digit(("rp", i, j)) for j in range(1, plan.B + 1)],
             self.q))
 
     def honest(self, i: int, n: int):
@@ -297,7 +397,7 @@ class RoundFormulas:
                      for n in byz},
             zhat={n: tuple(self.zhat(i, n) for i in inst) for n in byz},
             honest={n: tuple(self.honest(i, n) for i in inst) for n in byz},
-            stream=_GridStream(self.q, [self._d(name) for name in
+            stream=_GridStream(self.q, [self.digit(name) for name in
                                         _deviation_names(self.plan, byz)]),
         )
 
@@ -458,33 +558,27 @@ def audit_storage_security(cfg: SchemeConfig, mutation: str | None = None,
         return AuditReport(name, True, "n/a", 0,
                            "no communicating or Byzantine servers; empty view")
     pts = canonical_points(N, 1, q)
-    names = [("w", k) for k in range(K)]
-    names += [("sr", j, k) for j in range(1, H + 1) for k in range(K)]
-    grid = StateGrid(q, names, budget)
+    secret = [("w", k) for k in range(K)]
+    names = secret + [("sr", j, k) for j in range(1, H + 1) for k in range(K)]
+    grid = StateGrid(q, names, budget, secret=secret)
+    drop = mutation == "storage-drop-top-noise"
 
-    secret_parts = []
-    entries = {}
-    for idx in grid.chunks():
-        payload = [grid.digit(idx, ("w", k)) for k in range(K)]
-        secret_parts.append(_pack(payload, q, len(idx)))
-        for n in range(N):
-            noise = _noise_vectors(lambda j, k: grid.digit(idx, ("sr", j, k)),
-                                   H, K, mutation == "storage-drop-top-noise")
-            x = (pts.fs[0] - pts.alphas[n]) % q
-            entries.setdefault(n, []).append(storage_row(payload, noise, x, q))
-    secret = np.concatenate(secret_parts)
-    server_vals = {
-        n: [np.concatenate([chunk[k] for chunk in entries[n]])
-            if len(entries[n]) > 1 else entries[n][0][k]
-            for k in range(K)]
-        for n in entries
-    }
+    def stream(coalition):
+        for idx in grid.chunks():
+            digit = grid.reader(idx)
+            payload = [digit(nm) for nm in secret]
+            view = []
+            for n in coalition:
+                noise = _noise_vectors(lambda j, k: digit(("sr", j, k)),
+                                       H, K, drop)
+                x = (pts.fs[0] - pts.alphas[n]) % q
+                view.extend(storage_row(payload, noise, x, q))
+            yield (partial(_pack, payload, q, len(idx)),
+                   _view_code(view, q, len(idx)))
 
     failures = []
     for coalition in itertools.combinations(range(N), H):
-        view_vals = [server_vals[n][k] for n in coalition for k in range(K)]
-        view = _pack(view_vals, q, grid.states)
-        res = _mi_pair(secret, view, q)
+        res = _decide(lambda: stream(coalition), BlockStream(grid.block), q)
         if not res.zero:
             failures.append((coalition, res.bits))
     passed = not failures
@@ -522,36 +616,30 @@ def audit_query_privacy(cfg: SchemeConfig, mutation: str | None = None,
              for j in range(1, plan.t[s] + 1)
              for k in range(K)]
     grid = StateGrid(q, names, budget)
+    drop = mutation == "query-zero-last-noise"
 
-    theta_col = []
-    per_server = {n: [] for n in range(N)}
-    for theta in range(K):
-        for idx in grid.chunks():
-            theta_col.append(np.full(len(idx), theta, dtype=np.int64))
-            for n in range(N):
-                vals = []
-                for s in range(sets):
-                    for l in range(plan.c[s]):
-                        noise = _noise_vectors(
-                            lambda j, k: grid.digit(idx, ("qz", s, l, j, k)),
-                            plan.t[s], K, mutation == "query-zero-last-noise")
-                        x = (pts.fs[l] - pts.alphas[n]) % q
-                        vals.extend(query_row(theta, K, noise, x, q))
-                per_server[n].append(vals)
+    def stream(coalition):
+        # theta is the secret: each value owns one pass over the grid
+        for theta in range(K):
+            for idx in grid.chunks():
+                digit = grid.reader(idx)
+                view = []
+                for n in coalition:
+                    for s in range(sets):
+                        for l in range(plan.c[s]):
+                            noise = _noise_vectors(
+                                lambda j, k: digit(("qz", s, l, j, k)),
+                                plan.t[s], K, drop)
+                            x = (pts.fs[l] - pts.alphas[n]) % q
+                            view.extend(query_row(theta, K, noise, x, q))
+                yield (partial(np.full, len(idx), theta, dtype=np.int64),
+                       _view_code(view, q, len(idx)))
+
     total = K * grid.states
-    secret = np.concatenate(theta_col)
-    stitched = {
-        n: [np.concatenate([chunk[v] for chunk in per_server[n]])
-            if len(per_server[n]) > 1 else per_server[n][0][v]
-            for v in range(len(per_server[n][0]))]
-        for n in range(N)
-    }
-
     failures = []
     for coalition in itertools.combinations(range(N), min(M, N)):
-        view_vals = [v for n in coalition for v in stitched[n]]
-        view = _pack(view_vals, q, total)
-        res = _mi_pair(secret, view, q)
+        res = _decide(lambda: stream(coalition), BlockStream(grid.states),
+                      q)
         if not res.zero:
             failures.append((coalition, res.bits))
     passed = not failures
@@ -608,25 +696,33 @@ def audit_masking_vs_byzantine(cfg: SchemeConfig, mutation: str | None = None,
     alphas = _mask_alphas(cfg, plan)
     total = 0
     failures = []
-    for i, m in enumerate(dict.fromkeys(m_pair)):
-        names = [("zp", i, j) for j in range(1, m + 1)]
-        names += [("rp", i, j) for j in range(1, B + 1)]
-        # audit instance index i is notational; formula depends only on m
-        names = [(kind, 0, j) for kind, _, j in names]
-        grid = StateGrid(q, names, budget)
+    for m in dict.fromkeys(m_pair):
+        # the instance index is notational; the formula depends only on m
+        zp_names = [("zp", 0, j) for j in range(1, m + 1)]
+        rp_names = [("rp", 0, j) for j in range(1, B + 1)]
+        grid = StateGrid(q, zp_names + rp_names, budget, secret=zp_names)
         total += grid.states
-        idx = np.arange(grid.states, dtype=np.int64)
-        zp = [grid.digit(idx, ("zp", 0, j)) for j in range(1, m + 1)]
-        rp = [grid.digit(idx, ("rp", 0, j)) for j in range(1, B + 1)]
-        if mutation == "mask-no-rprime":
-            rp = [0] * B
-        zhat = [mask_share(a, zp, rp, q) for a in alphas]
-        secret = _pack(zp, q, grid.states)
         share = grid.states // (q ** B)
+
+        def stream(coalition):
+            for idx in grid.chunks():
+                digit = grid.reader(idx)
+                zp = [digit(nm) for nm in zp_names]
+                rp = ([0] * B if mutation == "mask-no-rprime"
+                      else [digit(nm) for nm in rp_names])
+                view = [mask_share(alphas[n], zp, rp, q) for n in coalition]
+                yield partial(_pack, zp, q, len(idx)), _pack(view, q, len(idx))
+
         for coalition in itertools.combinations(range(N), B):
-            view = _pack([zhat[n] for n in coalition], q, grid.states)
-            res = _mi_pair(secret, view, q)
-            _, counts = np.unique(view, return_counts=True)
+            blocks = BlockStream(grid.block)
+            res = _decide(lambda: stream(coalition), blocks, q)
+            if res.zero:
+                # every block holds the reference multiset
+                _, counts = np.unique(blocks.ref, return_counts=True)
+                counts *= grid.states // grid.block
+            else:
+                view = np.concatenate([v for _, v in stream(coalition)])
+                _, counts = np.unique(view, return_counts=True)
             uniform = len(counts) == q ** B and bool(np.all(counts == share))
             if not (res.zero and uniform):
                 failures.append((m, coalition, res.bits, uniform))
@@ -693,30 +789,28 @@ def audit_masking_vs_user(cfg: SchemeConfig, mutation: str | None = None,
     coalitions = list(itertools.combinations(range(N), B)) or [()]
 
     if q ** digits <= budget.max_states:
-        names = [("zp", i, j) for i, m in enumerate(m_pair)
-                 for j in range(1, m + 1)]
-        names += [("rp", i, j) for i in (0, 1) for j in range(1, B + 1)]
-        grid = StateGrid(q, names, budget)
-        idx = np.arange(grid.states, dtype=np.int64)
-        zhat = [[mask_share(a,
-                            [grid.digit(idx, ("zp", i, j))
-                             for j in range(1, m_pair[i] + 1)],
-                            [grid.digit(idx, ("rp", i, j))
-                             for j in range(1, B + 1)], q)
-                 for a in alphas]
-                for i in (0, 1)]
-        secret_vals = [grid.digit(idx, ("zp", i, j))
-                       for i in (0, 1) for j in surv_l[i]]
-        secret = (_pack(secret_vals, q, grid.states) if secret_vals
-                  else np.zeros(grid.states, dtype=np.int64))
+        zp_names = [[("zp", i, j) for j in range(1, m + 1)]
+                    for i, m in enumerate(m_pair)]
+        rp_names = [[("rp", i, j) for j in range(1, B + 1)] for i in (0, 1)]
+        secret = [("zp", i, j) for i in (0, 1) for j in surv_l[i]]
+        grid = StateGrid(q, zp_names[0] + zp_names[1] + rp_names[0]
+                         + rp_names[1], budget, secret=secret)
+
+        def stream(coalition):
+            for idx in grid.chunks():
+                digit = grid.reader(idx)
+                view = [digit(("rp", i, j)) for i in (0, 1) for j in surv_h[i]]
+                view += [mask_share(alphas[n], [digit(nm) for nm in zp_names[i]],
+                                    [digit(nm) for nm in rp_names[i]], q)
+                         for i in (0, 1) for n in coalition]
+                yield (partial(_pack, [digit(nm) for nm in secret], q,
+                               len(idx)),
+                       _view_code(view, q, len(idx)))
+
         failures = []
         for coalition in coalitions:
-            view_vals = [grid.digit(idx, ("rp", i, j))
-                         for i in (0, 1) for j in surv_h[i]]
-            view_vals += [zhat[i][n] for i in (0, 1) for n in coalition]
-            view = (_pack(view_vals, q, grid.states) if view_vals
-                    else np.zeros(grid.states, dtype=np.int64))
-            res = _mi_pair(secret, view, q)
+            res = _decide(lambda: stream(coalition), BlockStream(grid.block),
+                          q)
             if not res.zero:
                 failures.append((coalition, res.bits))
         passed = not failures
@@ -796,25 +890,23 @@ def audit_symmetric_privacy(cfg: SchemeConfig, strategy: str = "all",
         for theta in range(K):
             if dropped:
                 _probe_dropped(scheme, theta, dropped, byz, tag, mutation)
-            grid = StateGrid(q, names, budget)
+            secret = [("w", k, d) for k in range(K) if k != theta
+                      for d in range(plan.L1 + plan.L2)]
+            grid = StateGrid(q, names, budget, secret=secret)
             fm = RoundFormulas(scheme, theta, byzantine=byz, strategy=tag,
                                mutation=mutation)
-            sec_parts, view_parts = [], []
-            for idx in grid.chunks():
-                fm.bind(grid, idx)
-                sec_vals = [grid.digit(idx, ("w", k, d))
-                            for k in range(K) if k != theta
-                            for d in range(plan.L1 + plan.L2)]
-                view_vals = fm.measured_rows()
-                view_vals += [grid.digit(idx, nm) for nm in qz_names]
-                sec_parts.append(
-                    _pack(sec_vals, q, len(idx)) if sec_vals
-                    else np.zeros(len(idx), dtype=np.int64))
-                view_parts.append(_pack(view_vals, q, len(idx)))
-            secret = np.concatenate(sec_parts)
-            view = np.concatenate(view_parts)
-            total += len(secret)
-            res = _mi_pair(secret, view, q)
+
+            def stream():
+                for idx in grid.chunks():
+                    fm.bind(grid, idx)
+                    view = fm.measured_rows()
+                    view += [fm.digit(nm) for nm in qz_names]
+                    yield (partial(_pack, [fm.digit(nm) for nm in secret], q,
+                                   len(idx)),
+                           _view_code(view, q, len(idx)))
+
+            total += grid.states
+            res = _decide(stream, BlockStream(grid.block), q)
             if not res.zero:
                 failures.append((tag, theta, round(res.bits, 4)))
     passed = not failures
@@ -868,7 +960,7 @@ def _relay_shortcut_names(cfg, plan, pts, up, down):
     return names, sets, aggregated
 
 
-def _relay_query_rows(grid, idx, pts, q, K, theta, s, n, plan, aggregated):
+def _relay_query_rows(digit, pts, q, K, theta, s, n, plan, aggregated):
     """Query K-vectors server n receives for query set s, from either the
     raw noise digits or their enumerated evaluations at n."""
     rows = []
@@ -877,12 +969,11 @@ def _relay_query_rows(grid, idx, pts, q, K, theta, s, n, plan, aggregated):
         if aggregated:
             inv = fe_inv(x, q)
             rows.append(tuple(
-                (int(k == theta) + grid.digit(idx, ("agg", s, l, n, k))) * inv % q
+                (int(k == theta) + digit(("agg", s, l, n, k))) * inv % q
                 for k in range(K)))
         else:
-            noise = _noise_vectors(
-                lambda j, k: grid.digit(idx, ("qz", s, l, j, k)),
-                plan.t[s], K, False)
+            noise = _noise_vectors(lambda j, k: digit(("qz", s, l, j, k)),
+                                   plan.t[s], K, False)
             rows.append(query_row(theta, K, noise, x, q))
     return tuple(rows)
 
@@ -935,42 +1026,46 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
                 cfg, plan, pts, up, down)
             grid = StateGrid(q, names, budget)
             insts = _instances(plan)
-            sec_parts, view_parts = [], []
-            for theta in range(K):
-                for idx in grid.chunks():
-                    rows = {(s, n): _relay_query_rows(grid, idx, pts, q, K,
-                                                      theta, s, n, plan,
-                                                      aggregated)
-                            for s in range(sets) for n in set(up) | set(down)}
-                    view_vals = [v for n in up for s in range(sets)
-                                 for row in rows[s, n] for v in row]
-                    # a relayed dit replaces the whole answer, so it is the
-                    # strategy's deviation from an honest answer of zero;
-                    # storage and masking never enter it
-                    ctx = ByzContext(
-                        q=q, servers=tuple(down), instances=len(insts),
-                        storage={n: ((),) * len(insts) for n in down},
-                        queries={n: tuple(rows[min(i, sets - 1), n]
-                                          for i in insts) for n in down},
-                        zhat={n: (0,) * len(insts) for n in down},
-                        honest={n: (0,) * len(insts) for n in down},
-                        stream=_GridStream(q, ()))
-                    relay = apply_strategy(strategy, ctx)
-                    for n in down:
-                        for i in insts:
-                            dit = relay[n][i]
-                            if not plan.classical:
-                                scale = scheme.u if i == 0 else scheme.v
-                                dit = dit * scale[n] % q
-                            view_vals.append(dit)
-                    sec_parts.append(np.full(len(idx), theta, dtype=np.int64))
-                    view_parts.append(_pack(view_vals, q, len(idx)))
-            # the relayed view is a function of (theta, query noise) only;
-            # messages never enter it, so I(theta, W; view) = I(theta; view)
-            secret = np.concatenate(sec_parts)
-            view = np.concatenate(view_parts)
-            total += len(secret)
-            res = _mi_pair(secret, view, q)
+
+            def stream():
+                # theta is the secret: the relayed view is a function of
+                # (theta, query noise) only; messages never enter it, so
+                # I(theta, W; view) = I(theta; view)
+                for theta in range(K):
+                    for idx in grid.chunks():
+                        digit = grid.reader(idx)
+                        rows = {(s, n): _relay_query_rows(digit, pts, q, K,
+                                                          theta, s, n, plan,
+                                                          aggregated)
+                                for s in range(sets)
+                                for n in set(up) | set(down)}
+                        view = [v for n in up for s in range(sets)
+                                for row in rows[s, n] for v in row]
+                        # a relayed dit replaces the whole answer, so it is
+                        # the strategy's deviation from an honest answer of
+                        # zero; storage and masking never enter it
+                        ctx = ByzContext(
+                            q=q, servers=tuple(down), instances=len(insts),
+                            storage={n: ((),) * len(insts) for n in down},
+                            queries={n: tuple(rows[min(i, sets - 1), n]
+                                              for i in insts) for n in down},
+                            zhat={n: (0,) * len(insts) for n in down},
+                            honest={n: (0,) * len(insts) for n in down},
+                            stream=_GridStream(q, ()))
+                        relay = apply_strategy(strategy, ctx)
+                        for n in down:
+                            for i in insts:
+                                dit = relay[n][i]
+                                if not plan.classical:
+                                    scale = scheme.u if i == 0 else scheme.v
+                                    dit = dit * scale[n] % q
+                                view.append(dit)
+                        yield (partial(np.full, len(idx), theta,
+                                       dtype=np.int64),
+                               _view_code(view, q, len(idx)))
+
+            total += K * grid.states
+            res = _decide(stream, BlockStream(grid.states), q)
             if not res.zero:
                 failures.append((kind, "relay", round(res.bits, 4)))
             details_parts.append("%s relay:%s" % (kind, "ok" if res.zero else "LEAK"))
@@ -980,31 +1075,36 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
                                            strategy=strategy,
                                            byzantine=byzantine,
                                            mutation=mutation)
-        grid = StateGrid(q, names, budget)
+        secret = [("w", k, d) for k in range(K)
+                  for d in range(plan.L1 + plan.L2)]
+        grid = StateGrid(q, names, budget, secret=secret)
         sets = 1 if (plan.classical or plan.shared_queries) else 2
-        sec_parts, view_parts = [], []
+        formulas = []
         for theta in range(K):
             if dropped:
                 _probe_dropped(scheme, theta, dropped, byzantine, strategy,
                                mutation)
-            fm = RoundFormulas(scheme, theta, byzantine=byzantine,
-                               strategy=strategy, mutation=mutation)
-            for idx in grid.chunks():
-                fm.bind(grid, idx)
-                view_vals = [v for n in up for i in range(sets)
-                             for row in fm.query_rows(i, n) for v in row]
-                for n in down:
-                    view_vals.extend(fm.downlink_pair(n))
-                sec_vals = [np.full(len(idx), theta, dtype=np.int64)]
-                sec_vals += [grid.digit(idx, ("w", k, d))
-                             for k in range(K)
-                             for d in range(plan.L1 + plan.L2)]
-                sec_parts.append(_pack(sec_vals, q, len(idx)))
-                view_parts.append(_pack(view_vals, q, len(idx)))
-        secret = np.concatenate(sec_parts)
-        view = np.concatenate(view_parts)
-        total += len(secret)
-        res = _mi_pair(secret, view, q)
+            formulas.append(RoundFormulas(scheme, theta, byzantine=byzantine,
+                                          strategy=strategy,
+                                          mutation=mutation))
+
+        def stream():
+            # the secret is (theta, messages): theta-major, then one block
+            # per message value
+            for theta, fm in enumerate(formulas):
+                for idx in grid.chunks():
+                    fm.bind(grid, idx)
+                    view = [v for n in up for i in range(sets)
+                            for row in fm.query_rows(i, n) for v in row]
+                    for n in down:
+                        view.extend(fm.downlink_pair(n))
+                    sec = [np.full(len(idx), theta, dtype=np.int64)]
+                    sec += [fm.digit(nm) for nm in secret]
+                    yield (partial(_pack, sec, q, len(idx)),
+                           _view_code(view, q, len(idx)))
+
+        total += K * grid.states
+        res = _decide(stream, BlockStream(grid.block), q)
         if not res.zero:
             failures.append((kind, strategy, round(res.bits, 4)))
         details_parts.append("%s:%s" % (kind, "ok" if res.zero else "LEAK"))

@@ -9,7 +9,8 @@ Subcommands:
 All outputs are deterministic for a fixed invocation: CSV artifacts are
 byte-identical across runs (audit wall-clock times appear only in the
 stdout report, never in files).  Exit codes: 0 success, 1 property failure
-(decode failure or a failed lemma), 2 usage error.
+(decode failure or a failed lemma), 2 usage error, or an audit with no
+failed lemma that left some lemma unchecked over the enumeration budget.
 """
 
 from __future__ import annotations
@@ -298,7 +299,6 @@ def cmd_audit(args) -> int:
     use_default = args.default_suite or not explicit_scheme
 
     rows = []
-    code = 0
     if use_default:
         configs = audit_mod.default_suite_configs()
     else:
@@ -321,11 +321,18 @@ def cmd_audit(args) -> int:
         wall = time.perf_counter() - t0
         print(f"{lemma:24s} {status:16s} states={states:<10d} {wall:8.2f}s")
         rows.append([lemma, status, states])
-        if status == "fail":
-            code = 1
     if args.out:
         _write_csv(args.out, AUDIT_HEADER, rows)
-    return code
+    statuses = [status for _, status, _ in rows]
+    if "fail" in statuses:
+        return 1
+    unchecked = statuses.count("budget-exceeded")
+    if unchecked:
+        # the run did not check what was asked, so it is not a success
+        print(f"error: {unchecked} lemma(s) not checked: the enumeration "
+              "exceeds the budget (QSPIR_BUDGET)", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,22 @@
 
 Every audit in this package reduces a security claim to "these two groups of
 variables are independent under the uniform distribution over all protocol
-randomness".  States are enumerated exhaustively, so each joint outcome has an
-integer count over a known denominator and "zero mutual information" becomes a
-decidable equality checked by integer cross-multiplication — no floating
-point is involved in the pass/fail verdict.  A float entropy estimate is
-reported alongside for context only.
+randomness".  States are enumerated exhaustively, so the verdict is exact and
+no floating point is involved in it.
+
+The block test decides the audits.  When the secret is uniform and each of
+its values owns a block of states that runs through all other randomness
+uniformly, P(view | secret = s) is the multiset of view codes in block s
+divided by the block size.  The view is therefore independent of the secret
+iff every block holds the same multiset: ``blocks_agree`` sorts each block
+once and compares it with the first, and ``BlockStream`` does so over a
+stream of chunks, holding only the reference block and the current one.
+
+``mi_exact`` is the general test, the oracle of the block test, and the one
+the audits fall back to when a block differs, to size the leak.  Each joint
+outcome has an integer count over a known denominator, so "zero mutual
+information" is a decidable equality checked by integer cross-multiplication.
+A float entropy estimate is reported alongside for context only.
 
 For state spaces beyond the enumeration budget, a one-time-pad rank
 certificate is available: if the view is affine in independent uniform noise
@@ -120,24 +131,27 @@ class MIResult:
     states: int
 
 
-def _group_code(joint: JointDistribution, group) -> tuple:
-    """Compact integer code for the tuple of variables in ``group``."""
+def _group_code(joint: JointDistribution, group) -> np.ndarray:
+    """Integer code for the tuple of variables in ``group``, ordered as the
+    tuples are (lexicographically).
+
+    A single variable is its own code: its column is returned as it is, so
+    a view already packed into one column is not compacted a second time.
+    Several variables are combined in mixed radix and compacted after each
+    step; cardinalities then stay <= total, so the code cannot overflow."""
     if not group:
-        return np.zeros(joint.total, dtype=np.int64), 1
+        return np.zeros(joint.total, dtype=np.int64)
+    if len(group) == 1:
+        return joint.column(group[0])
     code = None
     for label in group:
-        col = joint.column(label)
-        _, inv = np.unique(col, return_inverse=True)
-        inv = inv.astype(np.int64)
+        _, inv = np.unique(joint.column(label), return_inverse=True)
         if code is None:
-            code = inv  # np.unique's inverse is already compact: 0..k-1
+            code = inv
         else:
-            # Cardinalities stay <= total after each compaction, so the
-            # mixed-radix combination cannot overflow int64.
-            code = code * (int(inv.max()) + 1) + inv
-            _, code = np.unique(code, return_inverse=True)
-            code = code.astype(np.int64)
-    return code, int(code.max()) + 1
+            _, code = np.unique(code * (int(inv.max()) + 1) + inv,
+                                return_inverse=True)
+    return code
 
 
 def _entropy(counts: np.ndarray, total: int, base: float) -> float:
@@ -162,20 +176,34 @@ def mi_exact(joint: JointDistribution, partition, base: float = 2.0) -> MIResult
         raise DimensionMismatch("partition groups overlap: %s" % sorted(overlap))
     total = joint.total
     AuditBudget().admit(total)
-    code_a, size_a = _group_code(joint, tuple(group_a))
-    code_b, size_b = _group_code(joint, tuple(group_b))
-    margin_a = np.bincount(code_a, minlength=size_a)
-    margin_b = np.bincount(code_b, minlength=size_b)
-
-    pair = code_a * size_b + code_b
+    code_a = _group_code(joint, tuple(group_a))
+    code_b = _group_code(joint, tuple(group_b))
+    values_a, margin_a = np.unique(code_a, return_counts=True)
+    values_b, margin_b = np.unique(code_b, return_counts=True)
+    lo_a, lo_b = int(values_a[0]), int(values_b[0])
+    radix = int(values_b[-1]) - lo_b + 1
+    if (int(values_a[-1]) - lo_a + 1) * radix >= 1 << 63:
+        # the pair of raw codes does not fit int64: pair their ranks
+        code_a = np.searchsorted(values_a, code_a)
+        code_b = np.searchsorted(values_b, code_b)
+        values_a = np.arange(len(values_a))
+        values_b = np.arange(len(values_b))
+        lo_a = lo_b = 0
+        radix = len(values_b)
+    pair = code_a - lo_a
+    pair *= radix
+    pair += code_b - lo_b if lo_b else code_b
     pair_values, pair_counts = np.unique(pair, return_counts=True)
+    del pair
 
-    if size_a * size_b != pair_values.shape[0]:
+    if len(values_a) * len(values_b) != pair_values.shape[0]:
         # A missing joint cell with both marginals positive breaks factorisation.
         zero = False
     else:
         left = pair_counts.astype(np.int64) * total
-        right = margin_a[pair_values // size_b] * margin_b[pair_values % size_b]
+        rank_a = np.searchsorted(values_a, pair_values // radix + lo_a)
+        rank_b = np.searchsorted(values_b, pair_values % radix + lo_b)
+        right = margin_a[rank_a] * margin_b[rank_b]
         zero = bool(np.array_equal(left, right))
 
     if zero:
@@ -189,6 +217,57 @@ def mi_exact(joint: JointDistribution, partition, base: float = 2.0) -> MIResult
             - joint_entropy,
         )
     return MIResult(zero=zero, bits=bits, states=total)
+
+
+def blocks_agree(codes: np.ndarray, block: int, ref=None) -> tuple:
+    """Sort every run of ``block`` consecutive states of ``codes`` and
+    compare it with the sorted reference block ``ref``.
+
+    ``codes`` holds one int64 view code per state, in whole blocks.
+    ``ref`` defaults to the first block.  Returns (every block equals
+    ``ref``, ``ref``); the reference is a copy, so holding it keeps no chunk
+    alive.
+    """
+    rows = np.sort(codes.reshape(-1, block), axis=1)
+    if ref is None:
+        ref = rows[0].copy()
+    return bool((rows == ref).all()), ref
+
+
+class BlockStream:
+    """The block test over a stream of view codes in state order.
+
+    The secret is uniform and each of its values owns ``block`` consecutive
+    states, which enumerate everything else uniformly.  The view is then
+    independent of the secret iff every block holds the same multiset of
+    view codes.  ``feed`` takes codes chunk by chunk, a block may span
+    several chunks, and only the sorted reference block and the unfinished
+    block are held.  ``feed`` returns False at the first block that differs
+    from the first one; ``complete`` says whether the stream ended on a
+    block boundary.
+    """
+
+    def __init__(self, block: int):
+        self.block = block
+        self.ref = None
+        self._held = []
+        self._count = 0
+
+    def feed(self, codes: np.ndarray) -> bool:
+        self._held.append(codes)
+        self._count += codes.shape[0]
+        if self._count < self.block:
+            return True
+        data = np.concatenate(self._held) if len(self._held) > 1 else codes
+        whole = self._count - self._count % self.block
+        same, self.ref = blocks_agree(data[:whole], self.block, self.ref)
+        self._held = [data[whole:]] if whole < self._count else []
+        self._count -= whole
+        return same
+
+    @property
+    def complete(self) -> bool:
+        return self._count == 0 and self.ref is not None
 
 
 def rank_certificate(view_map: FqMatrix, noise_coords) -> bool:

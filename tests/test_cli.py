@@ -1,5 +1,6 @@
 import csv
 import io
+import resource
 import subprocess
 import sys
 
@@ -166,16 +167,19 @@ def test_audit_single_config_runs_each_lemma(capsys):
 
 def test_audit_vacuous_lemmas_print_na(capsys):
     """With no communicating, Byzantine or tapping servers the coalition
-    views are empty: those lemmas print n/a, not a pass over zero states."""
+    views are empty: those lemmas print n/a, not a pass over zero states.
+    Symmetric privacy is over the enumeration budget at this shape, so the
+    run exits 2."""
     code, out, _ = run_cli(capsys, "audit", "--model", "xeutspir", "--N", "3",
                            "--X", "0", "--T", "1", "--E", "0", "--U", "0",
                            "--q", "5")
-    assert code == 0
+    assert code == 2
     status = {line.split()[0]: line.split()[1] for line in out.splitlines()}
     for lemma in ("storage-security", "masking-vs-byzantine",
                   "masking-vs-user", "eavesdropper"):
         assert status[lemma] == "n/a", lemma
     assert status["query-privacy"] == "pass"
+    assert status["symmetric-privacy"] == "budget-exceeded"
 
 
 def test_audit_reports_inapplicable_lemma_and_goes_on(tmp_path, capsys):
@@ -193,6 +197,49 @@ def test_audit_reports_inapplicable_lemma_and_goes_on(tmp_path, capsys):
         "storage-security": "pass", "query-privacy": "n/a",
         "masking-vs-byzantine": "pass", "masking-vs-user": "n/a",
         "symmetric-privacy": "pass", "eavesdropper": "n/a"}
+
+
+def test_audit_budget_exceeded_exits_2_unless_a_lemma_failed(
+        tmp_path, monkeypatch, capsys):
+    """A lemma left unchecked over the budget makes the run exit 2, with a
+    message; a failed lemma still makes it exit 1. The CSV rows are the
+    same either way."""
+    monkeypatch.setenv("QSPIR_BUDGET", "2000")
+    out_path = tmp_path / "audit.csv"
+    code, out, err = run_cli(capsys, "audit", "--default-suite", "--out",
+                             str(out_path))
+    assert code == 2
+    assert "budget" in err
+    status = {r["lemma"]: r["status"]
+              for r in csv.DictReader(io.StringIO(out_path.read_text()))}
+    assert status["storage-security"] == "budget-exceeded"
+    assert status["query-privacy"] == "pass"
+    code, out, _ = run_cli(capsys, "audit", "--default-suite",
+                           "--break-query")
+    assert code == 1
+    assert "budget-exceeded" in out
+
+
+def test_audit_query_privacy_at_paper_scale_fits_in_3_gb():
+    """N = 10, q = 13: query privacy enumerates 9.65 M states. Streaming
+    each coalition's view through the block test keeps it far below the
+    3 GB address-space limit that stitching every server's rows exceeded."""
+    limit = 3_000_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspir.cli", "audit", "--model",
+         "xbeutspir-static", "--N", "10", "--X", "1", "--T", "1", "--U", "2",
+         "--B", "1", "--q", "13"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=300)
+    status = {line.split()[0]: line.split()[1]
+              for line in proc.stdout.splitlines()}
+    assert status["query-privacy"] == "pass", proc.stderr
+    assert status["symmetric-privacy"] == "budget-exceeded"
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspir.errors import BudgetExceeded, DimensionMismatch, NotAffine
 from qspir.field import FqMatrix
-from qspir.mi import (AuditBudget, JointDistribution, budget_limit, mi_exact,
-                      rank_certificate)
+from qspir.mi import (AuditBudget, BlockStream, JointDistribution, blocks_agree,
+                      budget_limit, mi_exact, rank_certificate)
 
 
 # ---------------------------------------------------------
@@ -104,6 +106,16 @@ def test_random_joints_match_oracle():
         rng.shuffle(names)
         cut = int(rng.integers(1, nvars))
         run_both(rows, tuple(names[:cut]), tuple(names[cut:]))
+
+
+def test_wide_and_negative_codes_match_oracle():
+    """Single-variable groups are used as they are; codes whose pair would
+    overflow int64 are paired by rank instead."""
+    big = 1 << 62
+    rows = [(a, b) for a in (0, big, -big) for b in (-3, big)]
+    assert run_both(rows, (0,), (1,)).zero
+    rows = [(a, a) for a in (0, big, -big)] + [(big, 0)]
+    assert not run_both(rows, (0,), (1,)).zero
 
 
 def test_group_order_and_partition_symmetry():
@@ -264,3 +276,80 @@ def test_certificate_input_validation():
 def test_certificate_empty_view_is_trivially_private():
     F = FqMatrix.from_rows([[1, 2]], 5).take_rows(())
     assert rank_certificate(F, (0,))
+
+
+# ---------------------------------------------------------
+# block test: agreement with mi_exact
+# ---------------------------------------------------------
+
+def block_verdict(view, block, chunk):
+    """The streamed block test over ``view`` fed ``chunk`` states at a time."""
+    stream = BlockStream(block)
+    return all(stream.feed(view[i:i + chunk])
+               for i in range(0, len(view), chunk)) and stream.complete
+
+
+def mi_verdict(view, block):
+    secret = np.repeat(np.arange(len(view) // block), block)
+    jd = JointDistribution.from_columns(("s", "v"), (secret, view))
+    return mi_exact(jd, (("s",), ("v",))).zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_block_test_agrees_with_mi_exact(data):
+    """Uniform secret of q^s values, each owning a block of q^r states."""
+    q = data.draw(st.integers(2, 3), "q")
+    s = data.draw(st.integers(0, 3), "secret digits")
+    r = data.draw(st.integers(0, 3), "other digits")
+    block, count = q ** r, q ** s
+    alphabet = data.draw(st.integers(1, 4), "alphabet")
+    values = st.integers(0, alphabet - 1)
+    mode = data.draw(st.sampled_from(("independent", "perturbed", "random")))
+    if mode == "random":
+        rows = [data.draw(st.lists(values, min_size=block, max_size=block))
+                for _ in range(count)]
+    else:
+        base = data.draw(st.lists(values, min_size=block, max_size=block))
+        rows = [[base[i] for i in data.draw(st.permutations(range(block)))]
+                for _ in range(count)]
+        if mode == "perturbed":
+            # one copied entry: the support cannot grow, the counts may move
+            b = data.draw(st.integers(0, count - 1))
+            i = data.draw(st.integers(0, block - 1))
+            j = data.draw(st.integers(0, block - 1))
+            rows[b][i] = rows[b][j]
+    view = np.array([v for row in rows for v in row], dtype=np.int64)
+    chunk = data.draw(st.integers(1, len(view)), "chunk")
+    assert block_verdict(view, block, chunk) == mi_verdict(view, block)
+
+
+@pytest.mark.parametrize("rows,chunk,zero", [
+    # empty secret: one block, always independent
+    ([[3, 1, 4, 1, 5, 9, 2, 6, 5]], 3, True),
+    # a single block per chunk
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], 3, True),
+    # many blocks per chunk (more secret values than states per block)
+    ([[0, 1]] * 4 + [[1, 0]] * 4, 16, True),
+    ([[0, 1]] * 7 + [[1, 1]], 16, False),
+    # one block spanning several chunks
+    ([[0, 1, 1, 2, 0, 1, 1, 2], [2, 1, 0, 1, 2, 1, 1, 0]], 3, True),
+    ([[0, 1, 1, 2, 0, 1, 1, 2], [2, 1, 0, 1, 2, 1, 2, 0]], 3, False),
+    # same support in every block, different counts
+    ([[0, 0, 1, 1], [0, 1, 1, 1]], 8, False),
+    ([[0, 0, 1, 1], [0, 1, 1, 1]], 1, False),
+])
+def test_block_test_shapes(rows, chunk, zero):
+    view = np.array([v for row in rows for v in row], dtype=np.int64)
+    block = len(rows[0])
+    assert block_verdict(view, block, chunk) is zero
+    assert mi_verdict(view, block) is zero
+
+
+def test_blocks_agree_keeps_a_sorted_copy_as_reference():
+    codes = np.array([3, 1, 2, 2, 3, 1], dtype=np.int64)
+    same, ref = blocks_agree(codes, 3)
+    assert same and ref.tolist() == [1, 2, 3]
+    codes[:] = 0
+    assert ref.tolist() == [1, 2, 3]
+    assert not blocks_agree(np.array([1, 2, 2]), 3, ref)[0]
