@@ -1,10 +1,7 @@
-"""Pure-Python mod-q linear algebra kernel.
+"""Pure-Python mod-q linear algebra kernel, re-exported by `kernel.py`.
 
-Flat row-major lists of ints in [0, q). Mirrors the API of the optional
-compiled kernel `_fastkernel`; `kernel.py` picks whichever is available.
-Pivoting is deterministic: for each pivot column the first row (top to
-bottom) with a nonzero entry is used, so both kernels produce identical
-eliminations.
+Flat row-major lists of ints in [0, q). Pivoting is deterministic: for each
+pivot column the first row (top to bottom) with a nonzero entry is used.
 """
 
 from __future__ import annotations
@@ -61,13 +58,12 @@ def k_rank(a: list[int], r: int, c: int, q: int) -> int:
     return rank
 
 
-def k_inv(a: list[int], n: int, q: int) -> list[int] | None:
-    """Inverse of an n x n matrix, or None if singular."""
-    w = 2 * n
-    m = [0] * (n * w)
-    for i in range(n):
-        m[i * w : i * w + n] = a[i * n : (i + 1) * n]
-        m[i * w + n + i] = 1
+def _gauss_jordan(m: list[int], n: int, w: int, q: int) -> bool:
+    """Reduce the n x w augmented matrix m in place to [I | *].
+
+    Returns False, leaving m partly reduced, if the left n x n block is
+    singular.
+    """
     for col in range(n):
         piv = -1
         for row in range(col, n):
@@ -75,7 +71,7 @@ def k_inv(a: list[int], n: int, q: int) -> list[int] | None:
                 piv = row
                 break
         if piv < 0:
-            return None
+            return False
         if piv != col:
             pr, cr = piv * w, col * w
             for j in range(w):
@@ -92,6 +88,18 @@ def k_inv(a: list[int], n: int, q: int) -> list[int] | None:
                 tr = row * w
                 for j in range(w):
                     m[tr + j] = (m[tr + j] - factor * m[cr + j]) % q
+    return True
+
+
+def k_inv(a: list[int], n: int, q: int) -> list[int] | None:
+    """Inverse of an n x n matrix, or None if singular."""
+    w = 2 * n
+    m = [0] * (n * w)
+    for i in range(n):
+        m[i * w : i * w + n] = a[i * n : (i + 1) * n]
+        m[i * w + n + i] = 1
+    if not _gauss_jordan(m, n, w, q):
+        return None
     out = [0] * (n * n)
     for i in range(n):
         out[i * n : (i + 1) * n] = m[i * w + n : i * w + w]
@@ -105,28 +113,6 @@ def k_solve(a: list[int], n: int, b: list[int], q: int) -> list[int] | None:
     for i in range(n):
         m[i * w : i * w + n] = a[i * n : (i + 1) * n]
         m[i * w + n] = b[i] % q
-    for col in range(n):
-        piv = -1
-        for row in range(col, n):
-            if m[row * w + col] % q != 0:
-                piv = row
-                break
-        if piv < 0:
-            return None
-        if piv != col:
-            pr, cr = piv * w, col * w
-            for j in range(w):
-                m[pr + j], m[cr + j] = m[cr + j], m[pr + j]
-        inv = pow(m[col * w + col], -1, q)
-        cr = col * w
-        for j in range(w):
-            m[cr + j] = m[cr + j] * inv % q
-        for row in range(n):
-            if row == col:
-                continue
-            factor = m[row * w + col]
-            if factor:
-                tr = row * w
-                for j in range(w):
-                    m[tr + j] = (m[tr + j] - factor * m[cr + j]) % q
+    if not _gauss_jordan(m, n, w, q):
+        return None
     return [m[i * w + n] for i in range(n)]

@@ -343,7 +343,6 @@ def cmd_audit(args) -> int:
 def cmd_selftest(args) -> int:
     import numpy as np
 
-    from . import kernel
     from .field import FqMatrix
     from .mi import JointDistribution, mi_exact
     from .nsumbox import check_sso
@@ -355,9 +354,6 @@ def cmd_selftest(args) -> int:
         nonlocal ok
         print(f"{'ok  ' if cond else 'FAIL'} {label}")
         ok = ok and cond
-
-    check(f"field kernel backend: {kernel.KERNEL_NAME}",
-          kernel.KERNEL_NAME in ("fast", "pure"))
 
     a = np.repeat(np.arange(3), 5)
     b = np.tile(np.arange(5), 3)

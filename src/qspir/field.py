@@ -2,8 +2,8 @@
 
 Scalars are plain ints in [0, q). FqMatrix stores entries as a flat tuple,
 is hashable, and dispatches the heavy operations (multiply, rank, inverse,
-solve) to the selected kernel. Field elements of different primes never mix:
-every binary operation checks q.
+solve) to the mod-q kernel in `kernel`. Field elements of different primes
+never mix: every binary operation checks q.
 """
 
 from __future__ import annotations
@@ -174,12 +174,6 @@ class FqMatrix:
     def neg(self) -> "FqMatrix":
         return FqMatrix(
             self.rows, self.cols, self.q, tuple((-a) % self.q for a in self.data)
-        )
-
-    def scale(self, s: int) -> "FqMatrix":
-        s %= self.q
-        return FqMatrix(
-            self.rows, self.cols, self.q, tuple(a * s % self.q for a in self.data)
         )
 
     def rank(self) -> int:

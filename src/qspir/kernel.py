@@ -1,23 +1,7 @@
-"""Kernel selection: compiled extension if present, pure Python otherwise.
+"""The mod-q linear-algebra kernel every `F_q` operation runs on.
 
-Set QSPIR_FORCE_PURE=1 to skip the compiled kernel (used by the benchmark
-and the cross-validation tests).
+A re-export of the pure-Python `_purekernel` under the names that callers
+and the perfbench tracer use.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("QSPIR_FORCE_PURE") == "1":
-    from . import _purekernel as _impl
-else:
-    try:
-        from . import _fastkernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _purekernel as _impl
-
-KERNEL_NAME: str = _impl.KERNEL_NAME
-k_mul = _impl.k_mul
-k_rank = _impl.k_rank
-k_inv = _impl.k_inv
-k_solve = _impl.k_solve
+from ._purekernel import KERNEL_NAME, k_inv, k_mul, k_rank, k_solve

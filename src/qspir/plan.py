@@ -149,6 +149,10 @@ def _regime_candidates(cfg: SchemeConfig):
 
     tie marks plans admitted only because the strict inequality separating
     cases 3 and 4 is an equality.
+
+    Case 3 needs no check that its instance-0 noise order t1 = floor(N/2) - H
+    covers T and M: the branch has 2 (H + M + B) < N, so H + M <= floor(N/2)
+    and t1 >= M >= T, because M = max(..., T).
     """
     N, U, B, E = cfg.N, cfg.U, cfg.B, cfg.E
     H, M = cfg.H, cfg.M
@@ -181,7 +185,7 @@ def _regime_candidates(cfg: SchemeConfig):
             L1 = nu - 3 * B - U - E
             L2 = mu - 3 * B - U
             t1, t2 = mu - H, nu - H
-            if L1 >= 0 and L2 >= 0 and L1 + L2 >= 1 and t1 >= cfg.T and t1 >= M:
+            if L1 >= 0 and L2 >= 0 and L1 + L2 >= 1:
                 yield 3, _quantum_plan(
                     cfg, regime=3, L1=L1, L2=L2, delta=0, dummies=E,
                     c=(E + L1, L2), m=(H + t1, H + t2), t=(t1, t2),

@@ -133,6 +133,9 @@ def test_random_threat_rounds_across_models():
         cfg_of("xeutspir", 8, 3, 2, 1, 1, 0),
         cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1),
         cfg_of("xbeutspir-dynamic", 7, 1, 1, 1, 0, 1, q=11),
+        # a prime above 2**32: field elements outgrow 32-bit ints
+        cfg_of("xeutspir", 4, 1, 1, 1, 0, 0, q=4294967311),
+        cfg_of("xbeutspir-static", 10, 2, 2, 0, 1, 1, q=4294967311),
     )
     for cfg in configs:
         for trial in range(4):
