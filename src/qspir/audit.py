@@ -23,11 +23,13 @@ be audited, provided it uses only +, -, * and % q on its view and draws at
 most one uniform digit per server and instance from its stream.
 
 Audits shrink the state space only by exact reductions: per-symbol scope
-where the encoding uses fresh randomness per symbol, dropping variables that
-provably never enter the view (checked by a linearity probe, not assumed),
-and replacing query-noise vectors by their evaluations at the handful of
-relevant points when that substitution is a bijection onto uniform tuples
-(checked by a rank computation).  Beyond the enumeration budget,
+where the encoding uses fresh randomness per symbol, dropping the masking
+coordinates the transfer box removes from the box-output view of symmetric
+privacy (checked by a linearity probe, not assumed; the eavesdropper's
+downlink dits are taken before the box and keep them), and replacing
+query-noise vectors by their evaluations at the handful of relevant points
+when that substitution is a bijection onto uniform tuples (checked by a
+rank computation).  Beyond the enumeration budget,
 audit_masking_vs_user switches to a one-time-pad rank certificate.
 
 Every audit takes an optional ``mutation`` that removes exactly the
@@ -50,8 +52,8 @@ from .codes import canonical_points
 from .errors import (BudgetExceeded, DimensionMismatch, Infeasible,
                      SetTooLarge)
 from .field import FqMatrix, fe_inv
-from .mi import (AuditBudget, BlockStream, JointDistribution, MIResult,
-                 mi_exact, rank_certificate)
+from .mi import (AuditBudget, BlockStream, MIResult, mi_exact,
+                 rank_certificate)
 from .plan import Model, RegimePlan, SchemeConfig, plan_regime
 from .protocol import (BuiltScheme, build_scheme, honest_answer, mask_share,
                        powers, query_row, scheme_points, storage_row)
@@ -217,11 +219,6 @@ def _noise_vectors(digit, depth: int, K: int, drop_top: bool) -> list:
             for j in range(1, depth + 1)]
 
 
-def _mi_pair(secret: np.ndarray, view: np.ndarray, q: int):
-    jd = JointDistribution.from_columns(("secret", "view"), (secret, view))
-    return mi_exact(jd, (("secret",), ("view",)), base=q)
-
-
 def _decide(stream, blocks: BlockStream, q: int) -> MIResult:
     """Exact independence of a view from a uniform secret.
 
@@ -244,12 +241,12 @@ def _decide(stream, blocks: BlockStream, q: int) -> MIResult:
             break
     else:
         if blocks.complete:
-            return MIResult(zero=True, bits=0.0, states=states)
+            return MIResult(zero=True, bits=0.0)
     if held is None:
         held, chunks = [], stream()
     secret, view = zip(*[(secret(), view) for secret, view
                          in itertools.chain(held, chunks)])
-    return _mi_pair(np.concatenate(secret), np.concatenate(view), q)
+    return mi_exact(np.concatenate(secret), np.concatenate(view), base=q)
 
 
 # ======================================================================
@@ -387,7 +384,7 @@ class RoundFormulas:
     def _byz_context(self) -> ByzContext:
         """The coalition's view of this batch, with the enumerated strategy
         digits as its randomness."""
-        inst = range(len(_instances(self.plan)))
+        inst = self.plan.instances
         byz = self.byz
         return ByzContext(
             q=self.q, servers=byz, instances=len(inst),
@@ -453,16 +450,15 @@ class RoundFormulas:
         return out
 
 
-def _instances(plan: RegimePlan):
-    return (0,) if plan.classical else (0, 1)
-
-
 def round_digit_names(cfg: SchemeConfig, plan: RegimePlan, scheme: BuiltScheme,
                       strategy: str = "honest-zero", byzantine=(),
                       mutation: str | None = None,
                       drop_masked: bool = True):
-    """Full digit inventory of one round, plus the names provably absent
-    from the measured view (the dropped masking coordinates)."""
+    """Full digit inventory of one round, plus the masking coordinates the
+    transfer box drops, which the box-output view never reads.
+
+    With ``drop_masked`` false those coordinates stay on the grid and the
+    dropped list is empty: views taken before the box carry them."""
     names = []
     for k in range(cfg.K):
         for d in range(plan.L1 + plan.L2):
@@ -470,19 +466,18 @@ def round_digit_names(cfg: SchemeConfig, plan: RegimePlan, scheme: BuiltScheme,
     for l in range(plan.dummies):
         for k in range(cfg.K):
             names.append(("dum", l, k))
-    for i in _instances(plan):
+    for i in plan.instances:
         for l in range(plan.c[i]):
             for j in range(1, cfg.H + 1):
                 for k in range(cfg.K):
                     names.append(("sr", i, l, j, k))
-    sets = 1 if (plan.classical or plan.shared_queries) else 2
-    for s in range(sets):
+    for s in range(plan.query_sets):
         for l in range(plan.c[s]):
             for j in range(1, plan.t[s] + 1):
                 for k in range(cfg.K):
                     names.append(("qz", s, l, j, k))
     dropped = []
-    for i in _instances(plan):
+    for i in plan.instances:
         for j in range(1, plan.m[i] + 1):
             if mutation == "mask-no-zprime":
                 continue
@@ -502,7 +497,7 @@ def round_digit_names(cfg: SchemeConfig, plan: RegimePlan, scheme: BuiltScheme,
 def _deviation_names(plan: RegimePlan, byzantine) -> list:
     """Strategy digits in draw order: at most one per Byzantine server and
     instance, servers ascending."""
-    return [("dev", i, n) for n in sorted(byzantine) for i in _instances(plan)]
+    return [("dev", i, n) for n in sorted(byzantine) for i in plan.instances]
 
 
 def _strategy_draws(scheme: BuiltScheme, byzantine, strategy: str) -> int:
@@ -609,7 +604,7 @@ def audit_query_privacy(cfg: SchemeConfig, mutation: str | None = None,
         return AuditReport(name, True, "n/a", 0,
                            "no collusion or uplink taps; empty view")
     pts = scheme_points(cfg, plan)
-    sets = 1 if (plan.classical or plan.shared_queries) else 2
+    sets = plan.query_sets
     names = [("qz", s, l, j, k)
              for s in range(sets)
              for l in range(plan.c[s])
@@ -932,7 +927,7 @@ def _relay_shortcut_names(cfg, plan, pts, up, down):
     otherwise the raw noise digits are enumerated.
     """
     q, K = cfg.q, cfg.K
-    sets = 1 if (plan.classical or plan.shared_queries) else 2
+    sets = plan.query_sets
     points = sorted(set(up) | set(down))
     aggregated = True
     for s in range(sets):
@@ -1025,7 +1020,7 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
             names, sets, aggregated = _relay_shortcut_names(
                 cfg, plan, pts, up, down)
             grid = StateGrid(q, names, budget)
-            insts = _instances(plan)
+            insts = plan.instances
 
             def stream():
                 # theta is the secret: the relayed view is a function of
@@ -1071,22 +1066,18 @@ def audit_eavesdropper(cfg: SchemeConfig, eaves_up=None, eaves_down=None,
             details_parts.append("%s relay:%s" % (kind, "ok" if res.zero else "LEAK"))
             continue
 
-        names, dropped = round_digit_names(cfg, plan, scheme,
-                                           strategy=strategy,
-                                           byzantine=byzantine,
-                                           mutation=mutation)
+        # downlink dits are taken before the transfer box, so they carry
+        # every masking coefficient, the dropped ones included
+        names, _ = round_digit_names(cfg, plan, scheme, strategy=strategy,
+                                     byzantine=byzantine, mutation=mutation,
+                                     drop_masked=False)
         secret = [("w", k, d) for k in range(K)
                   for d in range(plan.L1 + plan.L2)]
         grid = StateGrid(q, names, budget, secret=secret)
-        sets = 1 if (plan.classical or plan.shared_queries) else 2
-        formulas = []
-        for theta in range(K):
-            if dropped:
-                _probe_dropped(scheme, theta, dropped, byzantine, strategy,
-                               mutation)
-            formulas.append(RoundFormulas(scheme, theta, byzantine=byzantine,
-                                          strategy=strategy,
-                                          mutation=mutation))
+        sets = plan.query_sets
+        formulas = [RoundFormulas(scheme, theta, byzantine=byzantine,
+                                  strategy=strategy, mutation=mutation)
+                    for theta in range(K)]
 
         def stream():
             # the secret is (theta, messages): theta-major, then one block

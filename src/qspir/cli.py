@@ -344,7 +344,7 @@ def cmd_selftest(args) -> int:
     import numpy as np
 
     from .field import FqMatrix
-    from .mi import JointDistribution, mi_exact
+    from .mi import mi_exact
     from .nsumbox import check_sso
     from .protocol import build_scheme
 
@@ -357,13 +357,9 @@ def cmd_selftest(args) -> int:
 
     a = np.repeat(np.arange(3), 5)
     b = np.tile(np.arange(5), 3)
-    jd = JointDistribution.from_columns(("a", "b"), (a, b))
-    check("exact MI: independent pair is zero",
-          mi_exact(jd, (("a",), ("b",))).zero)
-    jd2 = JointDistribution.from_columns(("x", "y"),
-                                         (np.arange(3), np.arange(3)))
+    check("exact MI: independent pair is zero", mi_exact(a, b).zero)
     check("exact MI: copied pair is nonzero",
-          not mi_exact(jd2, (("x",), ("y",))).zero)
+          not mi_exact(np.arange(3), np.arange(3)).zero)
 
     cfg = SchemeConfig(model=Model.parse("xeutspir"), N=4, K=2, X=1, T=1,
                        E=0, U=0, B=0, q=257)

@@ -75,11 +75,6 @@ class FqMatrix:
     def zeros(r: int, c: int, q: int) -> "FqMatrix":
         return FqMatrix(r, c, q, (0,) * (r * c))
 
-    @staticmethod
-    def column(vec, q: int) -> "FqMatrix":
-        vec = [int(x) % q for x in vec]
-        return FqMatrix(len(vec), 1, q, tuple(vec))
-
     # ---------- accessors ----------
 
     def __getitem__(self, rc: tuple[int, int]) -> int:

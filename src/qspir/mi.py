@@ -69,89 +69,12 @@ class AuditBudget:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Uniform-weight empirical joint distribution over labelled variables.
-
-    One outcome per enumerated state, each with weight 1/total.  ``columns``
-    holds per-variable value arrays running in parallel over states; counts
-    of repeated outcomes are implicit and exact by construction, so the
-    probability table always sums to exactly one.
-    """
-
-    labels: tuple
-    columns: tuple
-
-    def __post_init__(self):
-        if len(self.labels) != len(set(self.labels)):
-            raise DimensionMismatch("duplicate variable labels")
-        if len(self.labels) != len(self.columns):
-            raise DimensionMismatch(
-                "%d labels for %d columns" % (len(self.labels), len(self.columns))
-            )
-        if not self.columns:
-            raise DimensionMismatch("a joint distribution needs at least one variable")
-        sizes = {int(col.shape[0]) for col in self.columns}
-        if len(sizes) != 1:
-            raise DimensionMismatch("columns differ in length: %s" % sorted(sizes))
-        if 0 in sizes:
-            raise DimensionMismatch("empty outcome space")
-
-    @classmethod
-    def from_columns(cls, labels, columns) -> "JointDistribution":
-        cols = tuple(np.ascontiguousarray(np.asarray(c, dtype=np.int64)) for c in columns)
-        return cls(labels=tuple(labels), columns=cols)
-
-    @property
-    def total(self) -> int:
-        return int(self.columns[0].shape[0])
-
-    def column(self, label) -> np.ndarray:
-        try:
-            return self.columns[self.labels.index(label)]
-        except ValueError:
-            raise DimensionMismatch("unknown variable label %r" % (label,))
-
-    def table(self) -> dict:
-        """Explicit outcome -> count map (small distributions only)."""
-        counts: dict = {}
-        stacked = np.stack(self.columns, axis=1)
-        for row in stacked:
-            key = tuple(int(v) for v in row)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-
 @dataclass(frozen=True)
 class MIResult:
     """Outcome of an exact mutual-information check."""
 
     zero: bool
     bits: float
-    states: int
-
-
-def _group_code(joint: JointDistribution, group) -> np.ndarray:
-    """Integer code for the tuple of variables in ``group``, ordered as the
-    tuples are (lexicographically).
-
-    A single variable is its own code: its column is returned as it is, so
-    a view already packed into one column is not compacted a second time.
-    Several variables are combined in mixed radix and compacted after each
-    step; cardinalities then stay <= total, so the code cannot overflow."""
-    if not group:
-        return np.zeros(joint.total, dtype=np.int64)
-    if len(group) == 1:
-        return joint.column(group[0])
-    code = None
-    for label in group:
-        _, inv = np.unique(joint.column(label), return_inverse=True)
-        if code is None:
-            code = inv
-        else:
-            _, code = np.unique(code * (int(inv.max()) + 1) + inv,
-                                return_inverse=True)
-    return code
 
 
 def _entropy(counts: np.ndarray, total: int, base: float) -> float:
@@ -160,24 +83,28 @@ def _entropy(counts: np.ndarray, total: int, base: float) -> float:
     return nats / math.log(base)
 
 
-def mi_exact(joint: JointDistribution, partition, base: float = 2.0) -> MIResult:
-    """Exact mutual information between two groups of variables.
+def mi_exact(code_a: np.ndarray, code_b: np.ndarray,
+             base: float = 2.0) -> MIResult:
+    """Exact mutual information between two code columns.
 
-    ``partition`` is a pair of disjoint label groups; labels outside both
-    groups are marginalised.  The ``zero`` flag is decided by integer
-    arithmetic alone: the joint factorises iff its support is the full
-    product of the marginal supports and every joint count satisfies
-    ``total * joint == marginal_a * marginal_b``.  ``bits`` is a float
-    estimate in log-``base`` units, reported for context.
+    ``code_a`` and ``code_b`` hold one int64 code per enumerated state, each
+    state of weight 1/total; a group of variables enters as one column of
+    codes that is injective on the group's tuples.  The ``zero`` flag is
+    decided by integer arithmetic alone: the joint factorises iff its
+    support is the full product of the marginal supports and every joint
+    count satisfies ``total * joint == marginal_a * marginal_b``.  ``bits``
+    is a float estimate in log-``base`` units, reported for context.
     """
-    group_a, group_b = partition
-    overlap = set(group_a) & set(group_b)
-    if overlap:
-        raise DimensionMismatch("partition groups overlap: %s" % sorted(overlap))
-    total = joint.total
+    code_a = np.asarray(code_a, dtype=np.int64)
+    code_b = np.asarray(code_b, dtype=np.int64)
+    if code_a.ndim != 1 or code_a.shape != code_b.shape:
+        raise DimensionMismatch("need two code columns of equal length, got "
+                                "shapes %s and %s" % (code_a.shape,
+                                                      code_b.shape))
+    total = int(code_a.shape[0])
+    if total == 0:
+        raise DimensionMismatch("empty outcome space")
     AuditBudget().admit(total)
-    code_a = _group_code(joint, tuple(group_a))
-    code_b = _group_code(joint, tuple(group_b))
     values_a, margin_a = np.unique(code_a, return_counts=True)
     values_b, margin_b = np.unique(code_b, return_counts=True)
     lo_a, lo_b = int(values_a[0]), int(values_b[0])
@@ -216,7 +143,7 @@ def mi_exact(joint: JointDistribution, partition, base: float = 2.0) -> MIResult
             + _entropy(margin_b, total, base)
             - joint_entropy,
         )
-    return MIResult(zero=zero, bits=bits, states=total)
+    return MIResult(zero=zero, bits=bits)
 
 
 def blocks_agree(codes: np.ndarray, block: int, ref=None) -> tuple:

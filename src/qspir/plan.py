@@ -118,8 +118,7 @@ class RegimePlan:
     boundary: bool = False
 
     def __post_init__(self):
-        instances = (0,) if self.classical else (0, 1)
-        for i in instances:
+        for i in self.instances:
             if self.c[i] + self.m[i] + 3 * self.B != self.N - self.U:
                 raise Infeasible(
                     f"instance {i}: payload {self.c[i]} + mask {self.m[i]} + "
@@ -132,6 +131,18 @@ class RegimePlan:
                 raise Infeasible("dropped counts must sum to N")
             if self.vw + 4 * self.B + 2 * self.U != self.N:
                 raise Infeasible("payload + kept width vw + 4B + 2U must equal N")
+
+    @property
+    def instances(self) -> tuple[int, ...]:
+        """Indices of the instances that run: (0,) in the classical regime,
+        else (0, 1)."""
+        return (0,) if self.classical else (0, 1)
+
+    @property
+    def query_sets(self) -> int:
+        """Distinct query sets sent: 1 when the instances share queries
+        (always in the classical regime), else 2."""
+        return 1 if self.shared_queries else 2
 
     @property
     def message_slices(self) -> tuple[range, range]:

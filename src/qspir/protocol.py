@@ -12,10 +12,13 @@ whose dropped directions are exactly the low-degree (heavily masked)
 interference. Regime 4 is classical: one instance, scalar answers from
 responsive servers, direct interpolation.
 
-Decoding reads the payload and kept-mask coefficients straight off the box
-output, discards erasure slots, and, when B > 0, delegates to the corrector
-to locate and cancel Byzantine contamination before reading off the
-retrieved dits.
+Decoding reads the payload coefficients straight off the box output,
+ignores the kept-mask and erasure slots, and, when B > 0, delegates to the
+corrector to locate and cancel Byzantine contamination before reading off
+the retrieved dits.
+
+The audits do not read round transcripts: they evaluate the per-round
+formulas below on grids of states.
 
 Everything fixed by (cfg, plan, unresponsive placement) -- points,
 scalings, transfer box, responsive interpolation matrices and the
@@ -46,47 +49,9 @@ from .threats import ThreatConfig, apply_strategy, ByzContext
 
 
 @dataclass(frozen=True)
-class Storage:
-    """Per-instance, per-server payload rows plus the randomness behind them.
-
-    rows[i][n][l] is the K-vector stored for payload column l; noise[i][l][j]
-    is the j-th storage-noise K-vector of column l (j = 1..H); dummies[l] are
-    the instance-0 dummy payload vectors."""
-
-    rows: tuple
-    noise: tuple
-    dummies: tuple
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """Per-instance query blocks. blocks[i][n][l] is the K-vector a server
-    dots against its l-th payload row; noise[i][l][j] the j-th query-noise
-    K-vector (j = 1..t_i). When the plan shares queries the instance-1
-    entries alias instance 0."""
-
-    blocks: tuple
-    noise: tuple
-    shared: bool
-    theta: int
-
-
-@dataclass(frozen=True)
-class SharedNoise:
-    """Server-side masking randomness. zprime[i] has m_i scalars, rprime[i]
-    B scalars; zhat[i][n] is server n's evaluated share — the only part a
-    server (hence a Byzantine coalition) ever holds."""
-
-    zprime: tuple
-    rprime: tuple
-    zhat: tuple
-
-
-@dataclass(frozen=True)
 class AnswerSet:
-    """Honest answers plus recorded deviations and the final channel input."""
+    """Recorded deviations and garbage, and the final channel input."""
 
-    honest: tuple            # [i][n] scalar
     deviations: tuple        # [i][n] scalar, nonzero only at Byzantine servers
     unresp_garbage: tuple    # [i][n] scalar at unresponsive servers, else 0
     channel: tuple           # quantum: 2N dits; classical: responsive scalars
@@ -94,13 +59,11 @@ class AnswerSet:
 
 @dataclass(frozen=True)
 class DecodedResult:
-    """Decoder output: retrieved dits, the accepted Byzantine candidate set
-    (responsive-position indices) and the surviving masked-interference
-    values kept for auditing."""
+    """Decoder output: retrieved dits and the accepted Byzantine candidate
+    set (responsive-position indices)."""
 
     w_theta: tuple[int, ...]
     accepted_set: tuple[int, ...] | None
-    interference: tuple
 
 
 @dataclass(frozen=True)
@@ -121,16 +84,15 @@ class BuiltScheme:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Complete record of one round, sufficient for every audit."""
+    """What one round ran and what it produced: the config, plan and threat
+    that say what ran, the index and messages, the channel input, the
+    scheme, the box output and the decoder's result."""
 
     cfg: SchemeConfig
     plan: RegimePlan
     threat: ThreatConfig
     theta: int
     W: tuple
-    storage: Storage
-    queries: QuerySet
-    noise: SharedNoise
     answers: AnswerSet
     scheme: BuiltScheme
     y: tuple | None          # box output (quantum regimes)
@@ -254,7 +216,7 @@ def _cached_scheme(owner: int, cfg: SchemeConfig, plan: RegimePlan,
         csa_resp = (csa0, csa1)
     views = () if plan.B == 0 else tuple(
         corr_mod.build_views(csa_resp[i], plan.c[i], plan.m[i], plan.B)
-        for i in ((0,) if plan.classical else (0, 1))
+        for i in plan.instances
     )
     return BuiltScheme(cfg, plan, pts, u, v, responsive, unresp,
                        box=box, csa_resp=csa_resp, views=views)
@@ -270,7 +232,8 @@ def _scheme_box(cfg, plan, pts, u, v, unresp) -> TransferBox:
     columns, kept masked-degree powers, correction-data powers
     (honest-zero), then one erasure unit column per unresponsive server and
     instance. The receiver thus reads the payload and kept-mask
-    coefficients in its first vw outputs.
+    coefficients in its first vw outputs, of which the decoder uses the
+    payload.
     """
     N, q = cfg.N, cfg.q
     inst = [build_qcsa(N, plan.c[i], pts, scale) for i, scale in enumerate((u, v))]
@@ -327,71 +290,64 @@ def payload_columns(cfg, plan, W, dummies) -> tuple:
 
 
 def gen_storage(cfg: SchemeConfig, plan: RegimePlan, pts: Points, W,
-                rng: Stream) -> Storage:
-    """Storage rows: payload vector plus H noise terms in (f_l - a_n)."""
+                rng: Stream) -> tuple:
+    """Storage rows[i][n][l]: the K-vector server n stores for payload
+    column l of instance i, the payload plus H noise terms in
+    (f_l - a_n)."""
     q, H = cfg.q, cfg.H
     dummies = tuple(rng.randvec(cfg.K, q) for _ in range(plan.dummies))
     cols = payload_columns(cfg, plan, W, dummies)
-    instances = (0,) if plan.classical else (0, 1)
-    noise = []
     rows = []
-    for i in instances:
-        inoise = tuple(
+    for i in plan.instances:
+        noise = tuple(
             tuple(rng.randvec(cfg.K, q) for _ in range(H))
             for _ in range(plan.c[i])
         )
-        noise.append(inoise)
         rows.append(tuple(
-            tuple(storage_row(cols[i][l], inoise[l],
+            tuple(storage_row(cols[i][l], noise[l],
                               (pts.fs[l] - pts.alphas[n]) % q, q)
                   for l in range(plan.c[i]))
             for n in range(cfg.N)
         ))
-    return Storage(rows=tuple(rows), noise=tuple(noise), dummies=dummies)
+    return tuple(rows)
 
 
 def gen_queries(cfg: SchemeConfig, plan: RegimePlan, pts: Points, theta: int,
-                rng: Stream) -> QuerySet:
-    """Query blocks: (1/(f_l - a_n)) (e_theta + sum_j (f_l - a_n)^j Z_j)."""
+                rng: Stream) -> tuple:
+    """Query blocks[i][n][l]: (1/(f_l - a_n)) (e_theta + sum_j (f_l - a_n)^j
+    Z_j), the K-vector server n dots against its l-th payload row of
+    instance i. When the plan shares queries, instance 1 aliases
+    instance 0."""
     q = cfg.q
     if not 0 <= theta < cfg.K:
         raise ValueError(f"theta must be in [0, {cfg.K})")
-    sets = 1 if plan.shared_queries else 2
-    all_blocks = []
-    all_noise = []
-    for s in range(sets):
-        snoise = tuple(
+    blocks = []
+    for s in range(plan.query_sets):
+        noise = tuple(
             tuple(rng.randvec(cfg.K, q) for _ in range(plan.t[s]))
             for _ in range(plan.c[s])
         )
-        all_noise.append(snoise)
-        all_blocks.append(tuple(
-            tuple(query_row(theta, cfg.K, snoise[l],
+        blocks.append(tuple(
+            tuple(query_row(theta, cfg.K, noise[l],
                             (pts.fs[l] - pts.alphas[n]) % q, q)
                   for l in range(plan.c[s]))
             for n in range(cfg.N)
         ))
-    if sets == 1 and not plan.classical:
-        all_blocks.append(all_blocks[0])
-        all_noise.append(all_noise[0])
-    return QuerySet(blocks=tuple(all_blocks), noise=tuple(all_noise),
-                    shared=(sets == 1), theta=theta)
+    return tuple(blocks[min(i, plan.query_sets - 1)] for i in plan.instances)
 
 
 def gen_shared_noise(cfg: SchemeConfig, plan: RegimePlan, pts: Points,
-                     rng: Stream) -> SharedNoise:
-    """Masking polynomial coefficients and their per-server evaluations."""
+                     rng: Stream) -> tuple:
+    """Masking shares zhat[i][n]: server n's evaluation of instance i's
+    masking polynomial (m_i coefficients Z' then B coefficients R'), the
+    only part of it a server, hence a Byzantine coalition, ever holds."""
     q = cfg.q
-    instances = (0,) if plan.classical else (0, 1)
-    zprime, rprime, zhat = [], [], []
-    for i in instances:
+    zhat = []
+    for i in plan.instances:
         zp = rng.randvec(plan.m[i], q)
         rp = rng.randvec(plan.B, q)
-        zprime.append(zp)
-        rprime.append(rp)
         zhat.append(tuple(mask_share(a, zp, rp, q) for a in pts.alphas))
-    return SharedNoise(zprime=tuple(zprime), rprime=tuple(rprime),
-                       zhat=tuple(zhat))
+    return tuple(zhat)
 
 
 # ======================================================================
@@ -399,13 +355,13 @@ def gen_shared_noise(cfg: SchemeConfig, plan: RegimePlan, pts: Points,
 # ======================================================================
 
 
-def compute_answers(cfg, plan, storage, queries, noise) -> tuple:
-    instances = (0,) if plan.classical else (0, 1)
+def compute_answers(cfg, plan, rows, blocks, zhat) -> tuple:
+    """Honest answers[i][n] from the storage rows, query blocks and masking
+    shares."""
     return tuple(
-        tuple(honest_answer(noise.zhat[i][n], storage.rows[i][n],
-                            queries.blocks[i][n], cfg.q)
+        tuple(honest_answer(zhat[i][n], rows[i][n], blocks[i][n], cfg.q)
               for n in range(cfg.N))
-        for i in instances
+        for i in plan.instances
     )
 
 
@@ -443,33 +399,21 @@ def decode(scheme: BuiltScheme, received) -> DecodedResult:
         return _decode_classical(scheme, received)
     q = cfg.q
     vw, B = plan.vw, plan.B
-    pk = received[:vw]
     c0, c1 = plan.c
-    k0, k1 = plan.k
-    p_out = [list(pk[:c0]), list(pk[c0 : c0 + c1])]
-    kept = [
-        list(pk[c0 + c1 : c0 + c1 + k0]),
-        list(pk[c0 + c1 + k0 : c0 + c1 + k0 + k1]),
-    ]
+    payload = [received[:c0], received[c0 : c0 + c1]]
     accepted = None
     if B > 0:
         zblocks = [
             received[vw : vw + 2 * B],
             received[vw + 2 * B : vw + 4 * B],
         ]
-        accepted, estimates = corr_mod.search_joint(scheme.views, zblocks)
-        for i in (0, 1):
-            full = corr_mod.correction_vector(scheme.views[i], accepted,
-                                              estimates[i])
-            # payload coordinates then the kept masked-degree coordinates
-            for l in range(plan.c[i]):
-                p_out[i][l] = (p_out[i][l] - full[l]) % q
-            for j in range(plan.k[i]):
-                coord = plan.c[i] + plan.drop[i] + j
-                kept[i][j] = (kept[i][j] - full[coord]) % q
-    w = tuple(p_out[0][plan.dummies :]) + tuple(p_out[1])
-    return DecodedResult(w_theta=w, accepted_set=accepted,
-                         interference=(tuple(kept[0]), tuple(kept[1])))
+        accepted, corrections = corr_mod.search_and_correct(scheme.views,
+                                                            zblocks)
+        # a correction vector starts with the payload coordinates
+        payload = [[(p - f) % q for p, f in zip(payload[i], corrections[i])]
+                   for i in (0, 1)]
+    w = tuple(payload[0][plan.dummies :]) + tuple(payload[1])
+    return DecodedResult(w_theta=w, accepted_set=accepted)
 
 
 def _decode_classical(scheme: BuiltScheme, answers) -> DecodedResult:
@@ -482,13 +426,11 @@ def _decode_classical(scheme: BuiltScheme, answers) -> DecodedResult:
     accepted = None
     if B > 0:
         zblock = tuple(x[nv - 2 * B :])
-        accepted, est = corr_mod.search_joint(scheme.views, [zblock])
-        full = corr_mod.correction_vector(scheme.views[0], accepted, est[0])
+        accepted, (full,) = corr_mod.search_and_correct(scheme.views,
+                                                        [zblock])
         x = [(xi - fi) % q for xi, fi in zip(x, full)]
     w = tuple(x[plan.dummies : plan.c[0]])
-    inter = tuple(x[plan.c[0] : plan.c[0] + plan.m[0]])
-    return DecodedResult(w_theta=w, accepted_set=accepted,
-                         interference=(inter, ()))
+    return DecodedResult(w_theta=w, accepted_set=accepted)
 
 
 # ======================================================================
@@ -508,40 +450,38 @@ def run_round(cfg: SchemeConfig, seed, trial: int, theta: int | None = None,
         threat = ThreatConfig.random(cfg, Stream(seed, f"{label}/placement"))
     pts = scheme_points(cfg, plan)
     W = gen_messages(cfg, plan, Stream(seed, f"{label}/w"))
-    storage = gen_storage(cfg, plan, pts, W, Stream(seed, f"{label}/storage"))
-    queries = gen_queries(cfg, plan, pts, theta, Stream(seed, f"{label}/query"))
-    noise = gen_shared_noise(cfg, plan, pts, Stream(seed, f"{label}/mask"))
+    rows = gen_storage(cfg, plan, pts, W, Stream(seed, f"{label}/storage"))
+    blocks = gen_queries(cfg, plan, pts, theta, Stream(seed, f"{label}/query"))
+    zhat = gen_shared_noise(cfg, plan, pts, Stream(seed, f"{label}/mask"))
     scheme = build_scheme(cfg, plan, threat.unresponsive)
-    honest = compute_answers(cfg, plan, storage, queries, noise)
-    instances = 1 if plan.classical else 2
+    honest = compute_answers(cfg, plan, rows, blocks, zhat)
+    inst = plan.instances
 
     ctx = ByzContext(
         q=cfg.q,
         servers=tuple(sorted(threat.byzantine)),
-        instances=instances,
-        storage={n: tuple(storage.rows[i][n] for i in range(instances))
+        instances=len(inst),
+        storage={n: tuple(rows[i][n] for i in inst) for n in threat.byzantine},
+        queries={n: tuple(blocks[i][n] for i in inst)
                  for n in threat.byzantine},
-        queries={n: tuple(queries.blocks[i][n] for i in range(instances))
-                 for n in threat.byzantine},
-        zhat={n: tuple(noise.zhat[i][n] for i in range(instances))
-              for n in threat.byzantine},
-        honest={n: tuple(honest[i][n] for i in range(instances))
+        zhat={n: tuple(zhat[i][n] for i in inst) for n in threat.byzantine},
+        honest={n: tuple(honest[i][n] for i in inst)
                 for n in threat.byzantine},
         stream=Stream(seed, f"{label}/strategy"),
     )
     dev_map = apply_strategy(threat.strategy, ctx)
     deviations = tuple(
-        tuple(dev_map.get(n, (0,) * instances)[i] for n in range(cfg.N))
-        for i in range(instances)
+        tuple(dev_map.get(n, (0,) * len(inst))[i] for n in range(cfg.N))
+        for i in inst
     )
     gst = Stream(seed, f"{label}/unresp")
     garbage = tuple(
         tuple(gst.randint(cfg.q) if n in scheme.unresponsive else 0
               for n in range(cfg.N))
-        for i in range(instances)
+        for i in inst
     )
     answers = AnswerSet(
-        honest=honest, deviations=deviations, unresp_garbage=garbage,
+        deviations=deviations, unresp_garbage=garbage,
         channel=encode_channel(cfg, plan, scheme, honest, deviations, garbage),
     )
     if plan.classical:
@@ -551,7 +491,6 @@ def run_round(cfg: SchemeConfig, seed, trial: int, theta: int | None = None,
         y = scheme.box.apply(answers.channel)
         result = decode(scheme, y)
     return Transcript(cfg=cfg, plan=plan, threat=threat, theta=theta, W=W,
-                      storage=storage, queries=queries, noise=noise,
                       answers=answers, scheme=scheme, y=y, result=result)
 
 

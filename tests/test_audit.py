@@ -314,6 +314,18 @@ def test_relay_through_tapped_link_safe_when_noise_covers_byzantine():
     assert rep.passed and rep.states > 0
 
 
+def test_downlink_view_keeps_the_masking_coefficients_the_box_drops():
+    """Tapped downlink dits are taken before the transfer box, so every
+    masking coefficient masks them, the dropped ones included; leaving
+    those off the grid read as a leak."""
+    cfg = cfg_of("xeutspir", 2, 0, 1, 1, 0, 0, 5)
+    plan = plan_regime(cfg)
+    _, dropped = round_digit_names(cfg, plan, build_scheme(cfg, plan, ()))
+    assert dropped
+    rep = audit_eavesdropper(cfg)
+    assert rep.passed and rep.states == 1562500, rep.details
+
+
 # ---------------------------------------------------------
 # registered strategies run under audit
 # ---------------------------------------------------------

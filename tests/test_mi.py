@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qspir.errors import BudgetExceeded, DimensionMismatch, NotAffine
 from qspir.field import FqMatrix
-from qspir.mi import (AuditBudget, BlockStream, JointDistribution, blocks_agree,
-                      budget_limit, mi_exact, rank_certificate)
+from qspir.mi import (AuditBudget, BlockStream, blocks_agree, budget_limit,
+                      mi_exact, rank_certificate)
 
 
 # ---------------------------------------------------------
@@ -43,16 +43,19 @@ def oracle(rows, a_idx, b_idx, base=2.0):
     return False, max(0.0, bits)
 
 
-def jd_of(rows):
-    cols = list(zip(*rows))
-    labels = tuple(f"v{i}" for i in range(len(cols)))
-    return JointDistribution.from_columns(labels, cols)
+def pack(rows, idx):
+    """One int64 code per row for the tuple of columns ``idx``: a single
+    column as it is, several by the rank of their tuple, none as zeros."""
+    if not idx:
+        return np.zeros(len(rows), dtype=np.int64)
+    cols = np.array([[r[i] for i in idx] for r in rows], dtype=np.int64)
+    if len(idx) == 1:
+        return cols[:, 0]
+    return np.unique(cols, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def run_both(rows, a_idx, b_idx):
-    jd = jd_of(rows)
-    res = mi_exact(jd, (tuple(f"v{i}" for i in a_idx),
-                        tuple(f"v{i}" for i in b_idx)))
+    res = mi_exact(pack(rows, a_idx), pack(rows, b_idx))
     want_zero, want_bits = oracle(rows, a_idx, b_idx)
     assert res.zero == want_zero, (rows, a_idx, b_idx)
     assert abs(res.bits - want_bits) < 1e-9, (rows, a_idx, b_idx)
@@ -109,8 +112,8 @@ def test_random_joints_match_oracle():
 
 
 def test_wide_and_negative_codes_match_oracle():
-    """Single-variable groups are used as they are; codes whose pair would
-    overflow int64 are paired by rank instead."""
+    """Codes are used as they are; codes whose pair would overflow int64
+    are paired by rank instead."""
     big = 1 << 62
     rows = [(a, b) for a in (0, big, -big) for b in (-3, big)]
     assert run_both(rows, (0,), (1,)).zero
@@ -120,56 +123,34 @@ def test_wide_and_negative_codes_match_oracle():
 
 def test_group_order_and_partition_symmetry():
     rows = [(a, b, (2 * a + b) % 3) for a in range(3) for b in range(3)]
-    jd = jd_of(rows)
-    r1 = mi_exact(jd, (("v0", "v1"), ("v2",)))
-    r2 = mi_exact(jd, (("v2",), ("v1", "v0")))
+    r1 = mi_exact(pack(rows, (0, 1)), pack(rows, (2,)))
+    r2 = mi_exact(pack(rows, (2,)), pack(rows, (1, 0)))
     assert r1.zero == r2.zero
     assert r1.bits == pytest.approx(r2.bits)
 
 
-def test_unlisted_variables_marginalize_out():
-    rows = [(a, b, c) for a in range(2) for b in range(3) for c in range(2)]
-    jd = jd_of(rows)
-    assert mi_exact(jd, (("v0",), ("v1",))).zero
-
-
 def test_empty_group_always_independent():
     rows = [(a, a) for a in range(3)]
-    assert mi_exact(jd_of(rows), ((), ("v0",))).zero
+    assert mi_exact(pack(rows, ()), pack(rows, (0,))).zero
 
 
 def test_log_base_controls_units():
-    rows = [(a, a) for a in range(3)]
-    jd = jd_of(rows)
-    assert mi_exact(jd, (("v0",), ("v1",)), base=3.0).bits == pytest.approx(1.0)
-    assert mi_exact(jd, (("v0",), ("v1",)), base=2.0).bits == pytest.approx(
-        math.log2(3))
+    a = np.arange(3)
+    assert mi_exact(a, a, base=3.0).bits == pytest.approx(1.0)
+    assert mi_exact(a, a, base=2.0).bits == pytest.approx(math.log2(3))
 
 
 # ---------------------------------------------------------
 # validation and budget
 # ---------------------------------------------------------
 
-def test_overlapping_groups_rejected():
-    rows = [(0, 1), (1, 0)]
-    with pytest.raises(DimensionMismatch):
-        mi_exact(jd_of(rows), (("v0",), ("v0", "v1")))
-
-
 def test_joint_construction_guards():
     with pytest.raises(DimensionMismatch):
-        JointDistribution.from_columns(("a", "a"), ([0], [1]))
+        mi_exact([0, 1], [1])
     with pytest.raises(DimensionMismatch):
-        JointDistribution.from_columns(("a", "b"), ([0, 1], [1]))
+        mi_exact([], [])
     with pytest.raises(DimensionMismatch):
-        JointDistribution.from_columns((), ())
-    with pytest.raises(DimensionMismatch):
-        jd_of([(0, 1)]).column("nope")
-
-
-def test_table_counts_are_exact():
-    rows = [(0, 1), (0, 1), (2, 2)]
-    assert jd_of(rows).table() == {(0, 1): 2, (2, 2): 1}
+        mi_exact([[0, 1]], [[1, 0]])
 
 
 def test_budget_env_override(monkeypatch):
@@ -192,9 +173,8 @@ def test_budget_admission():
 
 def test_mi_respects_budget_env(monkeypatch):
     monkeypatch.setenv("QSPIR_BUDGET", "3")
-    rows = [(a, b) for a in range(2) for b in range(2)]
     with pytest.raises(BudgetExceeded):
-        mi_exact(jd_of(rows), (("v0",), ("v1",)))
+        mi_exact(np.arange(4), np.arange(4) % 2)
 
 
 # ---------------------------------------------------------
@@ -218,9 +198,7 @@ def test_certificate_matches_enumeration_when_full_rank():
     F = FqMatrix.from_rows([[1, 1, 0], [0, 0, 1]], q)
     assert rank_certificate(F, (1, 2))
     rows = enumerate_affine_view(F, (0,), q)
-    jd = JointDistribution.from_columns(
-        ("s", "y0", "y1"), list(zip(*rows)))
-    assert mi_exact(jd, (("s",), ("y0", "y1"))).zero
+    assert mi_exact(pack(rows, (0,)), pack(rows, (1, 2))).zero
 
 
 def test_certificate_refuses_rank_deficiency_and_leak_exists():
@@ -229,8 +207,7 @@ def test_certificate_refuses_rank_deficiency_and_leak_exists():
     F = FqMatrix.from_rows([[1, 1, 0], [0, 2, 0]], q)
     assert not rank_certificate(F, (1, 2))
     rows = enumerate_affine_view(F, (0,), q)
-    jd = JointDistribution.from_columns(("s", "y0", "y1"), list(zip(*rows)))
-    assert not mi_exact(jd, (("s",), ("y0", "y1"))).zero
+    assert not mi_exact(pack(rows, (0,)), pack(rows, (1, 2))).zero
 
 
 def test_certificate_is_sufficient_not_necessary():
@@ -240,8 +217,7 @@ def test_certificate_is_sufficient_not_necessary():
     F = FqMatrix.from_rows([[0, 0, 0], [0, 1, 1]], q)
     assert not rank_certificate(F, (1, 2))
     rows = enumerate_affine_view(F, (0,), q)
-    jd = JointDistribution.from_columns(("s", "y0", "y1"), list(zip(*rows)))
-    assert mi_exact(jd, (("s",), ("y0", "y1"))).zero
+    assert mi_exact(pack(rows, (0,)), pack(rows, (1, 2))).zero
 
 
 def test_certificate_rank_sweep_agrees_with_enumeration():
@@ -256,9 +232,8 @@ def test_certificate_rank_sweep_agrees_with_enumeration():
         noise = tuple(range(1, cols_n + 1))
         cert = rank_certificate(F, noise)
         rows = enumerate_affine_view(F, (0,), q)
-        labels = ("s",) + tuple(f"y{i}" for i in range(rows_n))
-        jd = JointDistribution.from_columns(labels, list(zip(*rows)))
-        enum_zero = mi_exact(jd, (("s",), labels[1:])).zero
+        enum_zero = mi_exact(pack(rows, (0,)),
+                             pack(rows, tuple(range(1, rows_n + 1)))).zero
         if cert:
             assert enum_zero  # certificate is sound
         if not enum_zero:
@@ -291,8 +266,7 @@ def block_verdict(view, block, chunk):
 
 def mi_verdict(view, block):
     secret = np.repeat(np.arange(len(view) // block), block)
-    jd = JointDistribution.from_columns(("s", "v"), (secret, view))
-    return mi_exact(jd, (("s",), ("v",))).zero
+    return mi_exact(secret, view).zero
 
 
 @settings(max_examples=300, deadline=None)
